@@ -325,7 +325,8 @@ def read_csv(path: str) -> list[BenchRecord]:
 
 
 def summarize(records: Iterable[BenchRecord]) -> list[dict]:
-    """Per (kind, semantics, engine, total size) means over all runs."""
+    """Per (kind, semantics, engine, total size) counts and mean times; the
+    means leave error rows out (NaN when a group has nothing else)."""
     groups: dict[tuple, list[BenchRecord]] = {}
     for record in records:
         groups.setdefault(
@@ -333,6 +334,7 @@ def summarize(records: Iterable[BenchRecord]) -> list[dict]:
         ).append(record)
     rows = []
     for (kind, sem, engine, size), group in sorted(groups.items()):
+        timed = [r.time_ms for r in group if r.status != "error"]
         rows.append(
             {
                 "kind": kind,
@@ -343,7 +345,7 @@ def summarize(records: Iterable[BenchRecord]) -> list[dict]:
                 "ok": sum(1 for r in group if r.status == "ok"),
                 "timeouts": sum(1 for r in group if r.status == "timeout"),
                 "errors": sum(1 for r in group if r.status == "error"),
-                "mean_time_ms": sum(r.time_ms for r in group) / len(group),
+                "mean_time_ms": sum(timed) / len(timed) if timed else float("nan"),
             }
         )
     return rows

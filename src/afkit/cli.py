@@ -2,7 +2,8 @@
 
 Exit codes follow one contract everywhere: 0 success (and YES answers),
 1 NO answers, 2 usage errors, 3 input errors (unreadable or malformed
-instances, unknown argument names), 4 resource caps and timeouts.
+instances, unknown argument names), 4 resource caps and timeouts, 5 internal
+errors (an unexpected exception, never reported as an answer).
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 def _usage(message: str) -> int:
@@ -281,7 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a defect must not read as a NO answer
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

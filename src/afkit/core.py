@@ -52,7 +52,7 @@ class ArgSet:
         return cls(mask, n)
 
     def ids(self) -> list[int]:
-        return [i for i in range(self.n) if self.mask >> i & 1]
+        return _ids(self.mask)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids())
@@ -99,8 +99,8 @@ class ArgSet:
 class AF:
     """Argumentation framework: named arguments plus a defeat relation over ids.
 
-    Immutable by convention after construction.  Exposes both neighbour lists
-    (out_adj/in_adj) and per-argument bitmasks (out_masks/in_masks).
+    Immutable by convention after construction.  out_masks[a] holds the
+    targets of argument a as a bitmask, in_masks[a] its attackers.
     """
 
     def __init__(self, names: Iterable[str], attacks: Iterable[tuple[str, str]]):
@@ -135,19 +135,11 @@ class AF:
             inn[b] |= 1 << a
         self.out_masks: tuple[int, ...] = tuple(out)
         self.in_masks: tuple[int, ...] = tuple(inn)
-        self.out_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(b for b in range(self.n) if out[a] >> b & 1) for a in range(self.n)
-        )
-        self.in_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(b for b in range(self.n) if inn[a] >> b & 1) for a in range(self.n)
-        )
-        self.self_loop_mask = sum(
-            1 << a for a in range(self.n) if out[a] >> a & 1
-        )
+        self.self_loop_mask = sum(1 << a for a, b in self.attacks if a == b)
 
     def names(self, s: ArgSet | int) -> tuple[str, ...]:
         mask = s.mask if isinstance(s, ArgSet) else s
-        return tuple(self.args[i].name for i in range(self.n) if mask >> i & 1)
+        return tuple(self.args[i].name for i in _ids(mask))
 
     def argset(self, names: Iterable[str] = ()) -> ArgSet:
         return ArgSet.from_ids((self.arg_id(x) for x in names), self.n)
@@ -256,6 +248,18 @@ def _attacked_mask(af: AF, mask: int) -> int:
     return acc
 
 
+def _ids(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending."""
+    if not mask & (mask + 1):  # all ones, e.g. a whole framework
+        return list(range(mask.bit_length()))
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
 def _char_mask(af: AF, mask: int) -> int:
     covered = _attacked_mask(af, mask)
     acc = 0
@@ -263,6 +267,30 @@ def _char_mask(af: AF, mask: int) -> int:
         if af.in_masks[i] & ~covered == 0:
             acc |= 1 << i
     return acc
+
+
+def _grounded_mask(out, inn, universe: int | None = None) -> int:
+    """Grounded extension of the sub-framework on universe (default: every
+    argument) under the attack masks out/inn: the least fixpoint of its
+    characteristic function, iterated from the empty set."""
+    if universe is None:
+        universe = (1 << len(out)) - 1
+    ids = _ids(universe)
+    mask = covered = 0
+    while True:
+        open_ = universe & ~covered  # members nothing in mask attacks yet
+        nxt = 0
+        for i in ids:
+            if not inn[i] & open_:
+                nxt |= 1 << i
+        if nxt == mask:
+            return mask
+        fresh = nxt & ~mask  # the iterates only grow
+        while fresh:
+            low = fresh & -fresh
+            covered |= out[low.bit_length() - 1]
+            fresh ^= low
+        mask = nxt
 
 
 def restrict(af: AF, s: ArgSet) -> tuple[AF, tuple[int, ...]]:
@@ -281,49 +309,17 @@ def restrict(af: AF, s: ArgSet) -> tuple[AF, tuple[int, ...]]:
     return AF(names, sub_attacks), tuple(keep)
 
 
-def project(mask: int, orig_ids: tuple[int, ...]) -> int:
-    """Reindex a parent-level bitmask into the child universe given by orig_ids."""
-    out = 0
-    for i, o in enumerate(orig_ids):
-        if mask >> o & 1:
-            out |= 1 << i
-    return out
-
-
-def lift(mask: int, orig_ids: tuple[int, ...]) -> int:
-    """Inverse of project: reindex a child-level bitmask back to the parent."""
-    out = 0
-    for i, o in enumerate(orig_ids):
-        if mask >> i & 1:
-            out |= 1 << o
-    return out
-
-
 @dataclass(frozen=True)
 class SccPartition:
     """Strongly connected components in topological order.
 
-    order_edges holds the direct component-graph edges (i precedes j); the full
-    precedence relation is order_closure().  Every edge satisfies i < j.
+    order_edges holds the direct component-graph edges (i precedes j); every
+    edge satisfies i < j.  comp_of is -1 for ids outside the universe.
     """
 
     components: tuple[ArgSet, ...]
     comp_of: tuple[int, ...]
     order_edges: frozenset[tuple[int, int]]
-
-    def order_closure(self) -> frozenset[tuple[int, int]]:
-        k = len(self.components)
-        succ: list[set[int]] = [set() for _ in range(k)]
-        for i, j in self.order_edges:
-            succ[i].add(j)
-        closed = set()
-        for i in reversed(range(k)):
-            reach: set[int] = set()
-            for j in succ[i]:
-                reach.add(j)
-                reach |= {c for (a, c) in closed if a == j}
-            closed |= {(i, j) for j in reach}
-        return frozenset(closed)
 
     def minimal(self) -> tuple[int, ...]:
         """Indices of components with no predecessor."""
@@ -331,16 +327,21 @@ class SccPartition:
         return tuple(i for i in range(len(self.components)) if i not in has_in)
 
 
-def sccs(af: AF) -> SccPartition:
-    """Tarjan's algorithm, iterative; components come out topologically sorted."""
+def sccs(af: AF, universe: int | None = None) -> SccPartition:
+    """Tarjan's algorithm, iterative, over the sub-framework on universe
+    (default: every argument); components come out topologically sorted."""
     n = af.n
+    if universe is None:
+        universe = af.full_mask
+    out = af.out_masks
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
+    adj: dict[int, list[int]] = {}
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for root in range(n):
+    for root in _ids(universe):
         if index[root] != -1:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -351,10 +352,11 @@ def sccs(af: AF) -> SccPartition:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            adj = af.out_adj[v]
+                adj[v] = _ids(out[v] & universe)
+            succ = adj[v]
             descended = False
-            for i in range(pi, len(adj)):
-                w = adj[i]
+            for i in range(pi, len(succ)):
+                w = succ[i]
                 if index[w] == -1:
                     work.append((v, i + 1))
                     work.append((w, 0))
@@ -377,12 +379,15 @@ def sccs(af: AF) -> SccPartition:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     comps.reverse()  # Tarjan emits reverse-topologically
-    comp_of = [0] * n
+    comp_of = [-1] * n
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     edges = {
-        (comp_of[a], comp_of[b]) for a, b in af.attacks if comp_of[a] != comp_of[b]
+        (comp_of[v], comp_of[w])
+        for v, succ in adj.items()
+        for w in succ
+        if comp_of[v] != comp_of[w]
     }
     return SccPartition(
         components=tuple(ArgSet.from_ids(c, n) for c in comps),

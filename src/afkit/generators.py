@@ -76,12 +76,12 @@ def gen_arbitrary(spec: GenSpec) -> AF:
     rng = _rng(spec.seed)
     names = [f"a{i}" for i in range(1, spec.n + 1)]
     attacks = []
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if i == j and not spec.self_attacks:
-                continue
-            if rng.random() < spec.p:
-                attacks.append((names[i], names[j]))
+    for i, src in enumerate(names):
+        # one batched draw per source consumes the stream exactly as one
+        # scalar draw per eligible pair would
+        targets = names if spec.self_attacks else names[:i] + names[i + 1:]
+        hits = np.flatnonzero(rng.random(len(targets)) < spec.p)
+        attacks += [(src, targets[j]) for j in hits]
     return AF(names, attacks)
 
 

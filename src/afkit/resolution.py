@@ -17,17 +17,14 @@ from .core import (
     AF,
     ArgSet,
     _attacked_mask,
+    _grounded_mask,
     is_conflict_free,
-    lift,
-    project,
-    restrict,
     sccs,
 )
 from .semantics import (
     DEFAULT_SEARCH_CAP,
     ExtensionSet,
     SearchCapError,
-    _grounded_mask,
     _search,
 )
 
@@ -80,23 +77,6 @@ def resolutions(
     return gen()
 
 
-def _grounded_after_removal(n: int, out: list[int], inn: list[int]) -> int:
-    mask, prev = 0, -1
-    while mask != prev:
-        prev = mask
-        covered = 0
-        t = mask
-        while t:
-            low = t & -t
-            t ^= low
-            covered |= out[low.bit_length() - 1]
-        mask = 0
-        for i in range(n):
-            if inn[i] & ~covered == 0:
-                mask |= 1 << i
-    return mask
-
-
 def grd_star_naive(af: AF, *, max_pairs: int | None = RESOLUTION_CAP) -> ExtensionSet:
     """Oracle engine: grounded extension of every resolution, then minimize."""
     results: set[int] = set()
@@ -106,17 +86,18 @@ def grd_star_naive(af: AF, *, max_pairs: int | None = RESOLUTION_CAP) -> Extensi
         for a, b in res.removed:
             out[a] &= ~(1 << b)
             inn[b] &= ~(1 << a)
-        results.add(_grounded_after_removal(af.n, out, inn))
+        results.add(_grounded_mask(out, inn))
     minimal = [
         m for m in results if not any(o != m and o & ~m == 0 for o in results)
     ]
     return ExtensionSet(af, minimal)
 
 
-def minimal_relevant(af: AF) -> list[ArgSet]:
-    """Predecessor-free SCCs whose internal attacks form a symmetric,
-    self-attack-free relation with an acyclic undirected collapse (a tree)."""
-    part = sccs(af)
+def minimal_relevant(af: AF, universe: int | None = None) -> list[ArgSet]:
+    """Predecessor-free SCCs of the sub-framework on universe (default: every
+    argument) whose internal attacks form a symmetric, self-attack-free
+    relation with an acyclic undirected collapse (a tree)."""
+    part = sccs(af, universe)
     found = []
     for idx in part.minimal():
         comp = part.components[idx]
@@ -140,9 +121,14 @@ def minimal_relevant(af: AF) -> list[ArgSet]:
 
 @dataclass(frozen=True)
 class RbgFrame:
-    """One level of the recursive acceptance check, for inspection."""
+    """One level of the recursive acceptance check, for inspection.
+
+    af is the top-level framework at every level and universe the level's
+    sub-framework; the other sets are in the same top-level ids.
+    """
 
     af: AF
+    universe: ArgSet
     grounded_part: ArgSet
     remainder: ArgSet
     minimal_scc_union: ArgSet
@@ -154,51 +140,48 @@ def verify_grd_star(af: AF, u: ArgSet, *, trace: list[RbgFrame] | None = None) -
     without enumerating resolutions."""
     if not is_conflict_free(af, u):
         return False
-    return _accept(af, u.mask, 0, trace)
+    return _accept(af, u.mask, trace)
 
 
-def _accept(af: AF, u_mask: int, depth: int, trace: list[RbgFrame] | None) -> bool:
-    g = _grounded_mask(af)
-    gplus = g | _attacked_mask(af, g)
-    grounded_ok = u_mask & gplus == g
-    t = u_mask & ~gplus
-    rest = af.full_mask & ~gplus
-    if rest == 0:
+def _accept(af: AF, u_mask: int, trace: list[RbgFrame] | None) -> bool:
+    """One pass per recursion level; (universe, u_mask) is the level's
+    sub-framework and the part of the candidate still to be justified."""
+    universe = af.full_mask
+    depth = 0
+    while True:
+        g = _grounded_mask(af.out_masks, af.in_masks, universe)
+        gplus = g | _attacked_mask(af, g)
+        grounded_ok = u_mask & gplus == g
+        t = u_mask & ~gplus
+        rest = universe & ~gplus
+        components = minimal_relevant(af, rest) if rest else []
+        pi = 0
+        for c in components:
+            pi |= c.mask
         if trace is not None:
             trace.append(
-                RbgFrame(af, ArgSet(g, af.n), ArgSet(t, af.n), ArgSet(0, af.n), depth)
+                RbgFrame(
+                    af,
+                    ArgSet(universe, af.n),
+                    ArgSet(g, af.n),
+                    ArgSet(t, af.n),
+                    ArgSet(pi, af.n),
+                    depth,
+                )
             )
-        return grounded_ok and t == 0
-    sub, orig = restrict(af, ArgSet(rest, af.n))
-    components = minimal_relevant(sub)
-    pi = 0
-    for c in components:
-        pi |= c.mask
-    if trace is not None:
-        trace.append(
-            RbgFrame(
-                af,
-                ArgSet(g, af.n),
-                ArgSet(t, af.n),
-                ArgSet(lift(pi, orig), af.n),
-                depth,
-            )
-        )
-    if not grounded_ok:
-        return False
-    t_sub = project(t, orig)
-    if not components:
-        return t_sub == 0
-    t_pi = t_sub & pi
-    struck = _attacked_mask(sub, t_pi)
-    if pi & ~(t_pi | struck):
-        return False  # not stable inside the selected components
-    next_mask = sub.full_mask & ~(pi | struck)
-    t_next = t_sub & ~pi
-    if t_next & ~next_mask:
-        return False
-    nsub, norig = restrict(sub, ArgSet(next_mask, sub.n))
-    return _accept(nsub, project(t_next, norig), depth + 1, trace)
+        if not grounded_ok:
+            return False
+        if not components:
+            return t == 0
+        t_pi = t & pi
+        struck = _attacked_mask(af, t_pi)
+        if pi & ~(t_pi | struck):
+            return False  # not stable inside the selected components
+        universe = rest & ~(pi | struck)
+        u_mask = t & ~pi
+        if u_mask & ~universe:
+            return False
+        depth += 1
 
 
 def grd_star(
@@ -215,11 +198,11 @@ def grd_star(
         raise SearchCapError(
             f"{af.n} arguments exceed the enumeration cap of {max_args}"
         )
-    g = _grounded_mask(af)
+    g = _grounded_mask(af.out_masks, af.in_masks)
     gatt = _attacked_mask(af, g)
     masks = [
         m
         for m in _search(af, admissible=False, forced_in=g, forced_out=gatt)
-        if _accept(af, m, 0, None)
+        if _accept(af, m, None)
     ]
     return ExtensionSet(af, masks)

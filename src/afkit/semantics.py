@@ -25,9 +25,9 @@ from .core import (
     ArgSet,
     _attacked_mask,
     _char_mask,
+    _grounded_mask,
+    _ids,
     is_conflict_free,
-    lift,
-    restrict,
 )
 
 DEFAULT_SEARCH_CAP = 26
@@ -87,16 +87,9 @@ class ExtensionSet:
         return f"ExtensionSet({len(self.extensions)} extensions over {self.af.n} args)"
 
 
-def _grounded_mask(af: AF) -> int:
-    mask, prev = 0, -1
-    while mask != prev:
-        mask, prev = _char_mask(af, mask), mask
-    return mask
-
-
 def grounded(af: AF) -> ArgSet:
     """The least fixpoint of the characteristic function."""
-    return ArgSet(_grounded_mask(af), af.n)
+    return ArgSet(_grounded_mask(af.out_masks, af.in_masks), af.n)
 
 
 def _search(
@@ -106,74 +99,95 @@ def _search(
     forced_in: int = 0,
     forced_out: int = 0,
     cover: int = 0,
+    universe: int | None = None,
 ) -> Iterator[int]:
-    """Yield conflict-free (or admissible) sets as bitmasks.
+    """Yield conflict-free (or admissible) sets of the sub-framework on
+    universe (default: every argument) as bitmasks.
 
     forced_in/forced_out pin membership decisions; cover prunes to sets whose
-    final range includes every cover bit (cover == full_mask gives stable
-    candidates directly).  Yield order is search order, not canonical order.
+    final range includes every cover bit (cover == universe gives stable
+    candidates directly).  Yield order is search order, not canonical order:
+    ids ascending, taking an id before skipping it.
     """
-    n = af.n
-    out, inn = af.out_masks, af.in_masks
+    if universe is None:
+        ids, outs, inns = range(af.n), af.out_masks, af.in_masks
+    else:
+        ids = _ids(universe)
+        outs = [af.out_masks[i] for i in ids]
+        inns = [af.in_masks[i] & universe for i in ids]
+    k = len(ids)
+    bits = [1 << i for i in ids]
     blocked = forced_out | af.self_loop_mask
-    # future_in[i]: still-choosable ids >= i; future_pot[i]: their ids+targets
-    future_in = [0] * (n + 1)
-    future_pot = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        free = not (blocked >> i & 1)
-        future_in[i] = future_in[i + 1] | ((1 << i) if free else 0)
-        future_pot[i] = future_pot[i + 1] | (((1 << i) | out[i]) if free else 0)
+    # future_in[p]: still-choosable ids from position p on; future_pot[p]:
+    # those ids and their targets
+    future_in = [0] * (k + 1)
+    future_pot = [0] * (k + 1)
+    for p in range(k - 1, -1, -1):
+        free = not bits[p] & blocked
+        future_in[p] = future_in[p + 1] | (bits[p] if free else 0)
+        future_pot[p] = future_pot[p + 1] | ((bits[p] | outs[p]) if free else 0)
 
-    def walk(i: int, chosen: int, covered: int, threats: int) -> Iterator[int]:
-        if cover & ~(chosen | covered | future_pot[i]):
-            return  # some required bit is out of reach
-        if i == n:
+    # explicit stack of (position, chosen, covered, threats); the skip branch
+    # is pushed first so the take branch is explored first
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        p, chosen, covered, threats = stack.pop()
+        if cover & ~(chosen | covered | future_pot[p]):
+            continue  # some required bit is out of reach
+        if p == k:
             if threats == 0 and not (cover & ~(chosen | covered)):
                 yield chosen
-            return
-        bit = 1 << i
-        if not (bit & blocked) and not (covered & bit) and not (out[i] & chosen):
-            nchosen = chosen | bit
-            ncovered = covered | out[i]
-            if admissible:
-                nthreats = (threats | inn[i]) & ~ncovered
-                # a threat nobody can ever counter kills the whole branch
-                fresh = nthreats & ~threats
-                dead = False
-                while fresh:
-                    low = fresh & -fresh
-                    fresh ^= low
-                    if not inn[low.bit_length() - 1] & future_in[i + 1]:
-                        dead = True
-                        break
-                if not dead:
-                    yield from walk(i + 1, nchosen, ncovered, nthreats)
-            else:
-                yield from walk(i + 1, nchosen, ncovered, 0)
+            continue
+        bit = bits[p]
         if not (bit & forced_in):
-            yield from walk(i + 1, chosen, covered, threats)
+            stack.append((p + 1, chosen, covered, threats))
+        if bit & (blocked | covered) or outs[p] & chosen:
+            continue
+        ncovered = covered | outs[p]
+        if not admissible:
+            stack.append((p + 1, chosen | bit, ncovered, 0))
+            continue
+        nthreats = (threats | inns[p]) & ~ncovered
+        # a threat nobody can ever counter kills the whole branch
+        fresh = nthreats & ~threats
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            if not af.in_masks[low.bit_length() - 1] & future_in[p + 1]:
+                break
+        else:
+            stack.append((p + 1, chosen | bit, ncovered, nthreats))
 
-    yield from walk(0, 0, 0, 0)
+
+def _stable_search(af: AF, *, forced_in: int = 0, forced_out: int = 0) -> Iterator[int]:
+    """Stable extensions under the given pins.  Every stable extension is
+    complete, so it contains the grounded extension and avoids its targets."""
+    g = _grounded_mask(af.out_masks, af.in_masks)
+    return _search(
+        af,
+        admissible=False,
+        forced_in=forced_in | g,
+        forced_out=forced_out | _attacked_mask(af, g),
+        cover=af.full_mask,
+    )
 
 
-def _weak_component_masks(af: AF) -> list[int]:
-    parent = list(range(af.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in af.attacks:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, int] = {}
-    for v in range(af.n):
-        r = find(v)
-        groups[r] = groups.get(r, 0) | (1 << v)
-    return [groups[r] for r in sorted(groups)]
+def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
+    """Weakly connected components of the sub-framework on universe
+    (default: every argument), by lowest id."""
+    rest = af.full_mask if universe is None else universe
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _ids(frontier):
+                reach |= af.out_masks[v] | af.in_masks[v]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
 
 
 def _subset_maximal(masks: Iterable[int]) -> list[int]:
@@ -184,29 +198,20 @@ def _subset_maximal(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _range_maximal(af: AF, masks: Iterable[int]) -> list[int]:
-    pairs = [(m, m | _attacked_mask(af, m)) for m in set(masks)]
+def _range_maximal(af: AF, masks: Iterable[int], universe: int) -> list[int]:
+    pairs = [(m, (m | _attacked_mask(af, m)) & universe) for m in set(masks)]
     best = set(_subset_maximal(r for _, r in pairs))
     return [m for m, r in pairs if r in best]
 
 
-def _combine_components(af: AF, base: int, sub: AF, orig: tuple[int, ...], comp_fn) -> list[int]:
+def _combine_components(af: AF, base: int, universe: int, comp_fn) -> list[int]:
+    """base joined with one comp_fn(af, cmask) result per weak component of
+    the sub-framework on universe, in every combination."""
     combos = [base]
-    for cmask in _weak_component_masks(sub):
-        csub, corig = restrict(sub, ArgSet(cmask, sub.n))
-        local = comp_fn(csub)
-        lifted = [lift(lift(m, corig), orig) for m in local]
-        combos = [p | q for p in combos for q in lifted]
+    for cmask in _weak_component_masks(af, universe):
+        local = comp_fn(af, cmask)
+        combos = [p | q for p in combos for q in local]
     return combos
-
-
-def _absorb_then_split(af: AF, comp_fn) -> list[int]:
-    g = _grounded_mask(af)
-    rest = af.full_mask & ~(g | _attacked_mask(af, g))
-    if rest == 0:
-        return [g]
-    sub, orig = restrict(af, ArgSet(rest, af.n))
-    return _combine_components(af, g, sub, orig, comp_fn)
 
 
 def _enum_masks(af: AF, sem: Semantics) -> list[int]:
@@ -214,9 +219,11 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
         return list(_search(af, admissible=False))
     if sem is Semantics.ADM:
         return list(_search(af, admissible=True))
+    if sem is Semantics.STB:
+        return list(_stable_search(af))
+    g = _grounded_mask(af.out_masks, af.in_masks)
     if sem is Semantics.GRD:
-        return [_grounded_mask(af)]
-    g = _grounded_mask(af)
+        return [g]
     gatt = _attacked_mask(af, g)
     if sem is Semantics.COM:
         return [
@@ -224,31 +231,27 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
             for m in _search(af, admissible=True, forced_in=g, forced_out=gatt)
             if _char_mask(af, m) == m
         ]
-    if sem is Semantics.STB:
-        return list(
-            _search(
-                af,
-                admissible=False,
-                forced_in=g,
-                forced_out=gatt,
-                cover=af.full_mask,
-            )
-        )
+    rest = af.full_mask & ~(g | gatt)
     if sem is Semantics.PRF:
-        return _absorb_then_split(
-            af, lambda c: _subset_maximal(_search(c, admissible=True))
+        return _combine_components(
+            af,
+            g,
+            rest,
+            lambda a, c: _subset_maximal(_search(a, admissible=True, universe=c)),
         )
     if sem is Semantics.SEM:
-        return _absorb_then_split(
-            af, lambda c: _range_maximal(c, _search(c, admissible=True))
+        return _combine_components(
+            af,
+            g,
+            rest,
+            lambda a, c: _range_maximal(a, _search(a, admissible=True, universe=c), c),
         )
     if sem is Semantics.STG:
         return _combine_components(
             af,
             0,
-            af,
-            tuple(range(af.n)),
-            lambda c: _range_maximal(c, _search(c, admissible=False)),
+            af.full_mask,
+            lambda a, c: _range_maximal(a, _search(a, admissible=False, universe=c), c),
         )
     if sem is Semantics.GRD_STAR:
         from . import resolution
@@ -278,7 +281,7 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     sem = Semantics(semantics)
     mask = s.mask
     if sem is Semantics.GRD:
-        return mask == _grounded_mask(af)
+        return mask == _grounded_mask(af.out_masks, af.in_masks)
     if sem is Semantics.GRD_STAR:
         from . import resolution
 
@@ -330,12 +333,12 @@ def credulous(
     if sem is Semantics.CF:
         return not af.self_loop_mask & bit
     if sem is Semantics.GRD:
-        return bool(_grounded_mask(af) & bit)
+        return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
     if sem in (Semantics.ADM, Semantics.COM, Semantics.PRF):
         # credulously accepted under preferred/complete iff under admissible
         return any(_search(af, admissible=True, forced_in=bit))
     if sem is Semantics.STB:
-        return any(_search(af, admissible=False, forced_in=bit, cover=af.full_mask))
+        return any(_stable_search(af, forced_in=bit))
     exts = enumerate_extensions(af, sem, max_args=max_args)
     return any(e.mask & bit for e in exts)
 
@@ -359,11 +362,9 @@ def skeptical(
         return False  # the empty set is conflict-free and admissible
     if sem in (Semantics.GRD, Semantics.COM):
         # the grounded extension is the least complete extension
-        return bool(_grounded_mask(af) & bit)
+        return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
     if sem is Semantics.STB:
-        return not any(
-            _search(af, admissible=False, forced_out=bit, cover=af.full_mask)
-        )
+        return not any(_stable_search(af, forced_out=bit))
     exts = enumerate_extensions(af, sem, max_args=max_args)
     return all(e.mask & bit for e in exts)
 

@@ -210,14 +210,17 @@ def test_record_row_round_trip_rejects_bad_status():
 
 
 def test_summarize_books_timeouts_into_means():
-    rows = summarize(sample_records())
+    error = BenchRecord("arbitrary", 20, None, 0.3, None, 2, "grd", "native",
+                        0.0, None, "error", 1)
+    rows = summarize(sample_records() + [error])
     assert len(rows) == 2
     arbitrary = next(r for r in rows if r["kind"] == "arbitrary")
     assert arbitrary["size"] == 20
-    assert arbitrary["runs"] == 2
+    assert arbitrary["runs"] == 3
     assert arbitrary["ok"] == 1
     assert arbitrary["timeouts"] == 1
-    assert arbitrary["errors"] == 0
+    assert arbitrary["errors"] == 1
+    # the error row is counted but does not pull the mean down
     assert arbitrary["mean_time_ms"] == pytest.approx((12.5 + 60000.0) / 2)
     grid = next(r for r in rows if r["kind"] == "grid")
     assert grid["size"] == 20  # 4 rows x 5 cols

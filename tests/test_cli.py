@@ -11,7 +11,8 @@ import pytest
 import afkit
 from afkit.bench import read_csv
 from afkit.cli import main
-from afkit.core import serialize_apx
+from afkit.core import parse_apx, serialize_apx
+from afkit.semantics import verify
 
 from conftest import make_af6
 
@@ -158,6 +159,41 @@ def test_enumeration_cap_exit_code(tmp_path, capsys):
                            "--semantics", "prf", "--task", "EE",
                            "--format", "count", "--max-args", "0")
     assert (code, out) == (0, "1\n")
+
+
+def test_internal_error_exit_code(af6_file, capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr("afkit.cli.enumerate_extensions", broken)
+    code, out, err = run_cli(capsys, "solve", "--input", af6_file,
+                             "--semantics", "prf", "--task", "EE")
+    assert code == 5  # never 1, which would read as a NO answer
+    assert out == ""
+    assert err == "error: internal: RuntimeError: engine fault\n"
+
+
+def test_stable_on_a_large_sparse_grid(tmp_path, capsys):
+    # 1200 arguments: deeper than the interpreter's recursion limit
+    path = tmp_path / "grid.apx"
+    main(["gen", "--kind", "grid", "--n", "30", "--m", "40", "--p", "0",
+          "--seed", "1", "--output", str(path)])
+    capsys.readouterr()
+    af = parse_apx(path.read_text())
+    assert af.n == 1200
+    code, out, _ = run_cli(capsys, "solve", "--input", str(path),
+                           "--semantics", "stb", "--task", "EE", "--max-args", "0")
+    assert code == 0
+    exts = [af.argset(line.split(",")) for line in out.splitlines()]
+    assert len(set(exts)) == len(exts) > 0
+    assert all(verify(af, "stb", e) for e in exts)
+    accepted = set().union(*(af.names(e) for e in exts))
+    rejected = sorted(a.name for a in af.args if a.name not in accepted)
+    assert rejected
+    for name, expected in ((min(accepted), 0), (rejected[0], 1)):
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path),
+                               "--semantics", "stb", "--task", "CA", "--arg", name)
+        assert (code, out) == (expected, "YES\n" if expected == 0 else "NO\n")
 
 
 # -------------------------------------------------------------------- gen

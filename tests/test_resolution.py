@@ -74,12 +74,13 @@ def test_verify_grd_star_trace(af6):
     assert verify_grd_star(af6, af6.argset(["a", "d", "f"]), trace=trace)
     assert [f.depth for f in trace] == [0, 1]
     top, leaf = trace
-    assert top.af.n == 6
+    assert top.af is af6 and leaf.af is af6
+    assert top.universe.mask == af6.full_mask
     assert af6.names(top.grounded_part) == ("a",)
     assert af6.names(top.remainder) == ("d", "f")
     assert af6.names(top.minimal_scc_union) == ("c", "d")
-    assert leaf.af.n == 1 and leaf.af.args[0].name == "f"
-    assert leaf.af.names(leaf.grounded_part) == ("f",)
+    assert af6.names(leaf.universe) == ("f",)
+    assert af6.names(leaf.grounded_part) == ("f",)
     assert len(leaf.remainder) == 0 and len(leaf.minimal_scc_union) == 0
 
 
