@@ -65,6 +65,8 @@ def _split_csv_flag(raw: str) -> list[str]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.max_args < 0:
+        return _usage("--max-args must be 0 (no cap) or positive")
     max_args = None if args.max_args == 0 else args.max_args
     try:
         af = _load_af(args.input)

@@ -138,26 +138,31 @@ class RbgFrame:
 def verify_grd_star(af: AF, u: ArgSet, *, trace: list[RbgFrame] | None = None) -> bool:
     """Decide membership of u in the resolution-based grounded extensions
     without enumerating resolutions."""
+    if u.n != af.n:
+        raise ValueError("ArgSet universes differ")
     if not is_conflict_free(af, u):
         return False
     return _accept(af, u.mask, trace)
 
 
+def _level(af: AF, universe: int) -> tuple[int, int, int]:
+    """One recursion level on the sub-framework universe: its grounded part,
+    the remainder outside that part's range, and the union (a sum, as they
+    are disjoint) of the remainder's minimal relevant components."""
+    g = _grounded_mask(af.out_masks, af.in_masks, universe)
+    rest = universe & ~(g | _attacked_mask(af, g))
+    return g, rest, sum(c.mask for c in minimal_relevant(af, rest))
+
+
 def _accept(af: AF, u_mask: int, trace: list[RbgFrame] | None) -> bool:
     """One pass per recursion level; (universe, u_mask) is the level's
-    sub-framework and the part of the candidate still to be justified."""
+    sub-framework and the part of the candidate still to be justified (inside
+    the universe, as the candidate is conflict-free)."""
     universe = af.full_mask
     depth = 0
     while True:
-        g = _grounded_mask(af.out_masks, af.in_masks, universe)
-        gplus = g | _attacked_mask(af, g)
-        grounded_ok = u_mask & gplus == g
-        t = u_mask & ~gplus
-        rest = universe & ~gplus
-        components = minimal_relevant(af, rest) if rest else []
-        pi = 0
-        for c in components:
-            pi |= c.mask
+        g, rest, pi = _level(af, universe)
+        t = u_mask & rest
         if trace is not None:
             trace.append(
                 RbgFrame(
@@ -169,9 +174,9 @@ def _accept(af: AF, u_mask: int, trace: list[RbgFrame] | None) -> bool:
                     depth,
                 )
             )
-        if not grounded_ok:
+        if u_mask & ~rest != g:
             return False
-        if not components:
+        if not pi:
             return t == 0
         t_pi = t & pi
         struck = _attacked_mask(af, t_pi)
@@ -179,8 +184,6 @@ def _accept(af: AF, u_mask: int, trace: list[RbgFrame] | None) -> bool:
             return False  # not stable inside the selected components
         universe = rest & ~(pi | struck)
         u_mask = t & ~pi
-        if u_mask & ~universe:
-            return False
         depth += 1
 
 
@@ -189,20 +192,22 @@ def grd_star(
 ) -> ExtensionSet:
     """Enumerate resolution-based grounded extensions recursively.
 
-    Candidates are the conflict-free sets containing the grounded extension
-    and avoiding its targets (both sound: grounded extensions only grow when
-    a mutual-attack direction is dropped, and stay conflict-free w.r.t. the
-    full relation); each candidate is then checked recursively.
+    Branches the recursion that verify_grd_star follows: each level adds its
+    grounded part, then one branch per stable set of the minimal relevant
+    components, recursing on the remainder that set leaves undecided.
     """
     if max_args is not None and af.n > max_args:
         raise SearchCapError(
             f"{af.n} arguments exceed the enumeration cap of {max_args}"
         )
-    g = _grounded_mask(af.out_masks, af.in_masks)
-    gatt = _attacked_mask(af, g)
-    masks = [
-        m
-        for m in _search(af, admissible=False, forced_in=g, forced_out=gatt)
-        if _accept(af, m, None)
-    ]
+    masks = []
+    work = [(af.full_mask, 0)]
+    while work:
+        universe, chosen = work.pop()
+        g, rest, pi = _level(af, universe)
+        if not pi:
+            masks.append(chosen | g)
+            continue
+        for s in _search(af, admissible=False, cover=pi, universe=pi):
+            work.append((rest & ~(pi | _attacked_mask(af, s)), chosen | g | s))
     return ExtensionSet(af, masks)

@@ -279,6 +279,8 @@ def enumerate_extensions(
 def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     """Decide whether s is an extension under the given semantics."""
     sem = Semantics(semantics)
+    if s.n != af.n:
+        raise ValueError("ArgSet universes differ")
     mask = s.mask
     if sem is Semantics.GRD:
         return mask == _grounded_mask(af.out_masks, af.in_masks)

@@ -161,6 +161,14 @@ def test_enumeration_cap_exit_code(tmp_path, capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_negative_max_args_is_usage_error(af6_file, capsys):
+    code, out, err = run_cli(capsys, "solve", "--input", af6_file,
+                             "--semantics", "grd", "--task", "EE",
+                             "--max-args", "-1")
+    assert (code, out) == (2, "")
+    assert "--max-args" in err
+
+
 def test_internal_error_exit_code(af6_file, capsys, monkeypatch):
     def broken(*_args, **_kwargs):
         raise RuntimeError("engine fault")
@@ -312,9 +320,14 @@ def test_bench_summarize_missing_file(capsys):
 
 
 def test_module_entrypoint_help():
+    # the child does not inherit pytest's pythonpath setting
+    src_dir = Path(afkit.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "afkit.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout

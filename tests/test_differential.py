@@ -6,6 +6,10 @@ grd_star_naive.  The seeds are fixed so that the grd_star recursion goes two
 levels deep and the grounded remainder splits into several weak components;
 test_instances_reach_deep_traces_and_split_remainders keeps that true.
 
+The constructive grd_star against its definition by generate and test, on
+random frameworks with more mutual pairs than grd_star_naive can resolve, and
+past its enumeration cap on a 600-argument grid.
+
 Routines that take a universe mask against the same routine run on the
 sub-framework that restrict() builds, mapped back to parent ids.
 """
@@ -18,6 +22,7 @@ import pytest
 from afkit import (
     AF,
     ArgSet,
+    ExtensionSet,
     GenSpec,
     brute_force,
     enumerate_extensions,
@@ -32,7 +37,7 @@ from afkit import (
     sccs,
     verify_grd_star,
 )
-from afkit.core import _grounded_mask
+from afkit.core import _attacked_mask, _grounded_mask
 from afkit.semantics import _search, _weak_component_masks
 
 NAIVE_PAIRS = 14
@@ -77,6 +82,57 @@ def test_instances_reach_deep_traces_and_split_remainders():
             depths.append(trace[-1].depth)
     assert max(depths) >= 2
     assert max(splits) >= 2
+
+
+def _grd_star_by_candidates(af: AF) -> ExtensionSet:
+    """grd_star by generate and test: the conflict-free supersets of the
+    grounded extension that avoid its targets, kept if verify_grd_star
+    accepts them."""
+    g = _grounded_mask(af.out_masks, af.in_masks)
+    candidates = _search(
+        af, admissible=False, forced_in=g, forced_out=_attacked_mask(af, g)
+    )
+    return ExtensionSet(
+        af, [m for m in candidates if verify_grd_star(af, ArgSet(m, af.n))]
+    )
+
+
+def test_grd_star_matches_generate_and_test():
+    rng = random.Random(23)
+    pairs, branching = [], 0
+    for _ in range(320):
+        n = rng.randint(1, 12)
+        names = [f"a{i}" for i in range(n)]
+        attacks = set()
+        for x in range(n):
+            for y in range(x, n):
+                if rng.random() < 0.3:
+                    attacks.add((names[x], names[y]))
+                    if rng.random() < 0.8:
+                        attacks.add((names[y], names[x]))
+        af = AF(names, sorted(attacks))
+        extensions = grd_star(af)
+        assert extensions == _grd_star_by_candidates(af)
+        pairs.append(len(mutual_pairs(af)))
+        branching += len(extensions) > 1
+    assert sum(p > NAIVE_PAIRS for p in pairs) >= 20  # beyond grd_star_naive
+    assert branching >= 20
+
+
+@pytest.mark.parametrize("cols", [5, 6])
+def test_grd_star_matches_naive_on_grid(cols):
+    af = generate(GenSpec(kind="grid", n=5, m=cols, p=0.3, seed=1))
+    assert len(mutual_pairs(af)) <= NAIVE_PAIRS
+    assert grd_star(af, max_args=None) == grd_star_naive(af, max_pairs=NAIVE_PAIRS)
+
+
+def test_grd_star_past_the_cap():
+    af = generate(GenSpec(kind="grid", n=20, m=30, p=0.3, seed=1))
+    extensions = grd_star(af, max_args=None)
+    assert len(extensions) > 1
+    assert all(verify_grd_star(af, ext) for ext in extensions)
+    # resolution-based grounded extensions are subset-minimal
+    assert not any(a < b for a in extensions for b in extensions)
 
 
 def _to_parent(mask: int, orig: tuple[int, ...]) -> int:

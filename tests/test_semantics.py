@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afkit.core import AF, ArgSet
+from afkit.resolution import verify_grd_star
 from afkit.semantics import (
     ExtensionSet,
     SearchCapError,
@@ -243,6 +244,17 @@ def test_oracle_cap():
 def test_oracle_rejects_grd_star(af6):
     with pytest.raises(ValueError, match="grd_star"):
         brute_force(af6, "grd_star")
+
+
+def test_verify_rejects_a_foreign_universe(af6):
+    # 8 arguments against 6 (one set with a bit past the last id), and 5
+    foreign = [ArgSet(1 << 7, 8), ArgSet(0, 5)]
+    for s in foreign:
+        for sem in Semantics:
+            with pytest.raises(ValueError, match="ArgSet universes differ"):
+                verify(af6, sem, s)
+        with pytest.raises(ValueError, match="ArgSet universes differ"):
+            verify_grd_star(af6, s)
 
 
 def test_unknown_semantics(af6):
