@@ -3,8 +3,9 @@
 Every run happens in a forked child process so a hung or slow solve can be
 killed at the time limit; timed-out runs are booked at exactly the limit,
 which keeps averages honest when comparing configurations that time out at
-different real costs.  Wall time is measured around the solve call alone —
-instance generation and process startup are excluded.
+different real costs.  Error rows keep the child's error text in detail.
+Wall time is measured around the solve call alone — instance generation and
+process startup are excluded.
 
 Engines are either "native" (this package's enumeration, argument cap
 lifted) or "external:<encoding-id>" (the ASP bridge).  When several engines
@@ -38,6 +39,7 @@ CSV_COLUMNS = [
     "extensions",
     "status",
     "jobs",
+    "detail",
 ]
 
 STATUSES = ("ok", "timeout", "error")
@@ -45,7 +47,8 @@ STATUSES = ("ok", "timeout", "error")
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One timed solve; spec fields plus outcome."""
+    """One timed solve; spec fields plus outcome.  detail holds the reason
+    for an error row, empty otherwise."""
 
     kind: str
     n: int
@@ -59,6 +62,7 @@ class BenchRecord:
     extensions: int | None
     status: str
     jobs: int
+    detail: str = ""
 
     def size(self) -> int:
         """Total argument count of the instance."""
@@ -78,6 +82,7 @@ class BenchRecord:
             "" if self.extensions is None else str(self.extensions),
             self.status,
             str(self.jobs),
+            self.detail,
         ]
 
     @staticmethod
@@ -97,6 +102,7 @@ class BenchRecord:
             extensions=int(row[9]) if row[9] else None,
             status=row[10],
             jobs=int(row[11]),
+            detail=row[12],
         )
         if record.status not in STATUSES:
             raise ValueError(f"unknown status {record.status!r}")
@@ -150,6 +156,7 @@ def run_one(
     status = "error"
     time_ms = 0.0
     extensions = None
+    detail = ""
     try:
         if parent_conn.poll(timeout):
             outcome, payload, count = parent_conn.recv()
@@ -159,12 +166,13 @@ def run_one(
                 status = "timeout"
                 time_ms = (timeout or 0.0) * 1000.0
             else:
-                status = "error"
+                detail = payload
         else:
             status = "timeout"
             time_ms = (timeout or 0.0) * 1000.0
     except EOFError:
-        status = "error"
+        proc.join(5)
+        detail = f"child exited without a result (exit code {proc.exitcode})"
     finally:
         parent_conn.close()
         if proc.is_alive():
@@ -187,6 +195,7 @@ def run_one(
         extensions=extensions,
         status=status,
         jobs=jobs,
+        detail=detail,
     )
 
 

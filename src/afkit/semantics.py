@@ -11,6 +11,13 @@ remainder into weakly connected components and recombines the per-component
 results; stage gets the component split only, since absorbing the grounded
 range is not sound for plain conflict-free maximality.
 
+Semi-stable and stage are stable-first: when a framework has a stable
+extension, its semi-stable and its stage extensions are exactly its stable
+ones (Caminada, "Semi-stable semantics", COMMA 2006; Verheij 1996).  So
+sem/stg run the stable search first, and enumeration, acceptance and
+verification fall back to the range-maximal filters only when it finds
+nothing.
+
 brute_force is the deliberately naive oracle: literal definitions evaluated
 over all subsets with frozenset algebra, sharing no search code with the
 engine above.
@@ -172,6 +179,15 @@ def _stable_search(af: AF, *, forced_in: int = 0, forced_out: int = 0) -> Iterat
     )
 
 
+def _as_stable(af: AF, sem: Semantics) -> Semantics:
+    """STB for sem/stg on a framework with a stable extension, whose
+    semi-stable and stage extensions are then exactly the stable ones;
+    sem itself otherwise."""
+    if sem in (Semantics.SEM, Semantics.STG) and any(_stable_search(af)):
+        return Semantics.STB
+    return sem
+
+
 def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
     """Weakly connected components of the sub-framework on universe
     (default: every argument), by lowest id."""
@@ -219,8 +235,10 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
         return list(_search(af, admissible=False))
     if sem is Semantics.ADM:
         return list(_search(af, admissible=True))
-    if sem is Semantics.STB:
-        return list(_stable_search(af))
+    if sem in (Semantics.STB, Semantics.SEM, Semantics.STG):
+        stable = list(_stable_search(af))
+        if stable or sem is Semantics.STB:
+            return stable
     g = _grounded_mask(af.out_masks, af.in_masks)
     if sem is Semantics.GRD:
         return [g]
@@ -292,10 +310,13 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
         return False
     if sem is Semantics.CF:
         return True
-    if sem is Semantics.STB:
-        return mask | _attacked_mask(af, mask) == af.full_mask
-    if sem is Semantics.STG:
+    if sem in (Semantics.STB, Semantics.SEM, Semantics.STG):
         rng = mask | _attacked_mask(af, mask)
+        if rng == af.full_mask:
+            return True  # stable, hence semi-stable and stage
+        if _as_stable(af, sem) is Semantics.STB:
+            return False
+    if sem is Semantics.STG:
         return all(
             m | _attacked_mask(af, m) == rng
             for m in _search(af, admissible=False, cover=rng)
@@ -309,7 +330,6 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     if sem is Semantics.PRF:
         return all(m == mask for m in _search(af, admissible=True, forced_in=mask))
     if sem is Semantics.SEM:
-        rng = mask | _attacked_mask(af, mask)
         return all(
             m | _attacked_mask(af, m) == rng
             for m in _search(af, admissible=True, cover=rng)
@@ -326,12 +346,13 @@ def credulous(
 ) -> bool:
     """Is arg in at least one extension?
 
-    cf/adm/com/grd/prf/stb answer by short-circuit search and ignore max_args;
-    sem/stg/grd_star enumerate (capped).
+    cf/adm/com/grd/prf/stb answer by short-circuit search and ignore max_args.
+    sem/stg do the same as stb when a stable extension exists; without one
+    they enumerate (capped), as grd_star always does.
     """
     sem = Semantics(semantics)
-    a = af.arg_id(arg)
-    bit = 1 << a
+    bit = 1 << af.arg_id(arg)
+    sem = _as_stable(af, sem)
     if sem is Semantics.CF:
         return not af.self_loop_mask & bit
     if sem is Semantics.GRD:
@@ -354,12 +375,13 @@ def skeptical(
 ) -> bool:
     """Is arg in every extension?  Vacuously true when there are none.
 
-    cf/adm/com/grd/stb answer by short-circuit search and ignore max_args;
-    prf/sem/stg/grd_star enumerate (capped).
+    cf/adm/com/grd/stb answer by short-circuit search and ignore max_args.
+    sem/stg do the same as stb when a stable extension exists; without one
+    they enumerate (capped), as prf/grd_star always do.
     """
     sem = Semantics(semantics)
-    a = af.arg_id(arg)
-    bit = 1 << a
+    bit = 1 << af.arg_id(arg)
+    sem = _as_stable(af, sem)
     if sem in (Semantics.CF, Semantics.ADM):
         return False  # the empty set is conflict-free and admissible
     if sem in (Semantics.GRD, Semantics.COM):

@@ -29,6 +29,16 @@ def af6() -> AF:
     return make_af6()
 
 
+def plus_three_cycle(af: AF) -> AF:
+    """af joined with a disjoint odd cycle z0 -> z1 -> z2 -> z0, which leaves
+    it without a stable extension."""
+    names = [a.name for a in af.args]
+    cycle = ["z0", "z1", "z2"]
+    attacks = [(names[a], names[b]) for a, b in af.attacks]
+    attacks += zip(cycle, cycle[1:] + cycle[:1])
+    return AF(names + cycle, attacks)
+
+
 def name_sets(af, extensions) -> set[tuple[str, ...]]:
     """Extensions as a set of sorted name tuples, for order-free comparison."""
     return {tuple(sorted(af.names(e))) for e in extensions}

@@ -1,10 +1,12 @@
 """Bench harness tests: subprocess runs, timeout booking, CSV, summaries."""
+import os
 import pathlib
 import shlex
 import sys
 
 import pytest
 
+from afkit import bench
 from afkit.bench import (
     BenchRecord,
     CSV_COLUMNS,
@@ -45,10 +47,10 @@ def test_native_run_ok():
 
 
 def test_timeout_is_booked_at_the_limit():
-    # range-maximal enumeration over a sparse 26-argument instance takes
-    # far longer than the 50 ms limit
+    # the 534,496 conflict-free sets of a sparse 26-argument instance take
+    # far longer than the 50 ms limit to enumerate
     spec = GenSpec(kind="arbitrary", n=26, p=0.05, seed=1)
-    record = run_one(spec, "stg", "native", timeout=0.05)
+    record = run_one(spec, "cf", "native", timeout=0.05)
     assert record.status == "timeout"
     assert record.time_ms == pytest.approx(50.0)
     assert record.extensions is None
@@ -67,6 +69,17 @@ def test_external_failure_is_an_error_row():
                      timeout=30.0, solver_config=stub_config("fail"))
     assert record.status == "error"
     assert record.extensions is None
+    assert record.detail
+
+
+def test_child_lost_without_a_result_is_an_error_row(monkeypatch):
+    def die(spec):
+        os._exit(3)
+
+    monkeypatch.setattr(bench, "generate", die)  # the forked child inherits it
+    record = run_one(small_spec(), "grd", "native", timeout=30.0)
+    assert record.status == "error"
+    assert record.detail == "child exited without a result (exit code 3)"
 
 
 def test_external_solver_timeout_is_booked_at_the_limit():
@@ -188,10 +201,13 @@ def sample_records() -> list[BenchRecord]:
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "bench.csv"
-    records = sample_records()
+    error = BenchRecord("grid", 4, 5, 0.3, "orthogonal", 1, "prf", "external:cf",
+                        0.0, None, "error", 2, 'SolverError: exit 1, "bad, input"')
+    records = sample_records() + [error]
     write_csv(records, str(path))
     text = path.read_text()
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert CSV_COLUMNS[-3:] == ["status", "jobs", "detail"]
     assert read_csv(str(path)) == records
 
 

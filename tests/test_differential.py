@@ -5,6 +5,9 @@ tests reach: the classic semantics against brute_force, grd_star against
 grd_star_naive.  The seeds are fixed so that the grd_star recursion goes two
 levels deep and the grounded remainder splits into several weak components;
 test_instances_reach_deep_traces_and_split_remainders keeps that true.
+All of them have stable extensions, so semi-stable and stage are also checked
+on frameworks without one, where the range-maximal fallback runs, and in a
+random sweep of small frameworks of both kinds.
 
 The constructive grd_star against its definition by generate and test, on
 random frameworks with more mutual pairs than grd_star_naive can resolve, and
@@ -25,6 +28,7 @@ from afkit import (
     ExtensionSet,
     GenSpec,
     brute_force,
+    credulous,
     enumerate_extensions,
     generate,
     grd_star,
@@ -35,10 +39,13 @@ from afkit import (
     range_of,
     restrict,
     sccs,
+    skeptical,
+    verify,
     verify_grd_star,
 )
 from afkit.core import _attacked_mask, _grounded_mask
 from afkit.semantics import _search, _weak_component_masks
+from conftest import plus_three_cycle
 
 NAIVE_PAIRS = 14
 
@@ -82,6 +89,64 @@ def test_instances_reach_deep_traces_and_split_remainders():
             depths.append(trace[-1].depth)
     assert max(depths) >= 2
     assert max(splits) >= 2
+
+
+# grids made unstable by a disjoint 3-cycle, and random frameworks with no
+# stable extension of their own
+NO_STABLE = [
+    (GenSpec(kind="grid", n=2, m=5, p=0.3, seed=3), True),
+    (GenSpec(kind="grid", n=1, m=11, p=0.3, seed=3), True),
+    (GenSpec(kind="arbitrary", n=14, p=0.15, seed=3), False),  # sem != prf
+    (GenSpec(kind="arbitrary", n=14, p=0.12, seed=37), False),  # 3 components
+]
+
+
+@pytest.mark.parametrize(
+    "spec, cycle", NO_STABLE, ids=[_label(s) + "+cycle" * c for s, c in NO_STABLE]
+)
+def test_range_maximal_fallback_matches_oracle(spec, cycle):
+    af = generate(spec)
+    if cycle:
+        af = plus_three_cycle(af)
+    assert 13 <= af.n <= 16
+    for sem in ("sem", "stg"):
+        expected = brute_force(af, sem)
+        assert enumerate_extensions(af, sem) == expected, sem
+        # no extension has full range, so the framework has no stable one
+        assert all(range_of(af, e).mask != af.full_mask for e in expected), sem
+
+
+def _sweep_frameworks() -> list[AF]:
+    rng = random.Random(31)
+    afs = []
+    for _ in range(200):
+        names = [f"a{i}" for i in range(rng.randint(1, 9))]
+        p = rng.choice((0.15, 0.25, 0.35))
+        afs.append(AF(names, [(x, y) for x in names for y in names if rng.random() < p]))
+    return afs
+
+
+SWEEP = _sweep_frameworks()
+
+
+def test_sweep_has_frameworks_with_and_without_stable_extensions():
+    has_stable = [len(brute_force(af, "stb")) > 0 for af in SWEEP]
+    assert has_stable.count(True) >= 50
+    assert has_stable.count(False) >= 50
+
+
+def test_stable_first_semantics_match_oracle():
+    for af in SWEEP:
+        subsets = [ArgSet(m, af.n) for m in range(1 << af.n)]
+        for sem in ("stb", "sem", "stg"):
+            expected = brute_force(af, sem)
+            assert enumerate_extensions(af, sem) == expected, (af.attacks, sem)
+            for a in range(af.n):
+                assert credulous(af, sem, a) == any(a in e for e in expected)
+                assert skeptical(af, sem, a) == all(a in e for e in expected)
+            assert [verify(af, sem, s) for s in subsets] == [
+                s in expected for s in subsets
+            ], (af.attacks, sem)
 
 
 def _grd_star_by_candidates(af: AF) -> ExtensionSet:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afkit.core import AF, ArgSet
+from afkit.generators import GenSpec, generate
 from afkit.resolution import verify_grd_star
 from afkit.semantics import (
+    DEFAULT_SEARCH_CAP,
     ExtensionSet,
     SearchCapError,
     Semantics,
@@ -19,7 +21,7 @@ from afkit.semantics import (
     verify,
 )
 
-from conftest import name_sets
+from conftest import name_sets, plus_three_cycle
 
 ALL_EIGHT = [s for s in Semantics if s is not Semantics.GRD_STAR]
 
@@ -233,6 +235,26 @@ def test_enumeration_cap():
         enumerate_extensions(af, "grd")
     assert enumerate_extensions(af, "grd", max_args=None).masks() == (af.full_mask,)
     assert enumerate_extensions(af, "grd", max_args=30).masks() == (af.full_mask,)
+
+
+def test_sem_stg_decisions_skip_the_cap_only_with_a_stable_extension():
+    af = generate(GenSpec(kind="grid", n=5, m=6, p=0.3, seed=1))
+    assert af.n == 30 > DEFAULT_SEARCH_CAP
+    stable = enumerate_extensions(af, "stb", max_args=None)
+    assert len(stable) > 1
+    unstable = plus_three_cycle(af)
+    for sem in ("sem", "stg"):
+        with pytest.raises(SearchCapError):
+            enumerate_extensions(af, sem)
+        # answered by the stable search, as stb decisions are
+        for a in range(af.n):
+            assert credulous(af, sem, a) == any(a in e for e in stable)
+            assert skeptical(af, sem, a) == all(a in e for e in stable)
+        # without a stable extension they enumerate, and the cap applies
+        with pytest.raises(SearchCapError):
+            credulous(unstable, sem, 0)
+        with pytest.raises(SearchCapError):
+            skeptical(unstable, sem, 0)
 
 
 def test_oracle_cap():
