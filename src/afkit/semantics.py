@@ -5,11 +5,16 @@ grounded (grd), stable (stb), preferred (prf), semi-stable (sem), stage (stg),
 and resolution-based grounded (grd_star, handled by the resolution module).
 
 The enumeration engine is a backtracking walk over argument ids with bitmask
-state.  For preferred/semi-stable it first absorbs the grounded part (every
-complete extension contains grd(F) and excludes its targets), then splits the
-remainder into weakly connected components and recombines the per-component
-results; stage gets the component split only, since absorbing the grounded
-range is not sound for plain conflict-free maximality.
+state.  Its admissible walk applies the must-out labelling rule of Nofal,
+Atkinson & Dunne ("Algorithms for decision problems in argument systems under
+preferred semantics", AIJ 2014): an attacker of the chosen set can never join
+it, so a branch dies once some such attacker, not yet attacked itself, has no
+attacker left that a later step could still take.  For preferred/semi-stable
+it first absorbs the grounded part (every complete extension contains grd(F)
+and excludes its targets), then splits the remainder into weakly connected
+components and recombines the per-component results; stage gets the component
+split only, since absorbing the grounded range is not sound for plain
+conflict-free maximality.
 
 Semi-stable and stage are stable-first: when a framework has a stable
 extension, its semi-stable and its stage extensions are exactly its stable
@@ -24,6 +29,7 @@ engine above.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -58,30 +64,39 @@ class Semantics(str, Enum):
 
 
 class ExtensionSet:
-    """Extensions of one framework in canonical order (ascending bitmask)."""
+    """Extensions of one framework in canonical order (ascending bitmask).
 
-    __slots__ = ("af", "extensions", "_masks")
+    Holds only the sorted masks; ArgSets are built on iteration.
+    """
+
+    __slots__ = ("af", "_masks")
 
     def __init__(self, af: AF, masks: Iterable[int]):
         self.af = af
-        ordered = sorted(set(masks))
-        self.extensions = tuple(ArgSet(m, af.n) for m in ordered)
-        self._masks = frozenset(ordered)
+        self._masks = tuple(sorted(set(masks)))
+
+    @property
+    def extensions(self) -> tuple[ArgSet, ...]:
+        return tuple(self)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(e.mask for e in self.extensions)
+        return self._masks
 
     def names(self) -> list[tuple[str, ...]]:
-        return [self.af.names(e) for e in self.extensions]
+        return [self.af.names(m) for m in self._masks]
 
     def __len__(self) -> int:
-        return len(self.extensions)
+        return len(self._masks)
 
     def __iter__(self) -> Iterator[ArgSet]:
-        return iter(self.extensions)
+        n = self.af.n
+        return (ArgSet(m, n) for m in self._masks)
 
     def __contains__(self, s: ArgSet) -> bool:
-        return s.mask in self._masks
+        if s.n != self.af.n:
+            return False
+        i = bisect_left(self._masks, s.mask)
+        return i < len(self._masks) and self._masks[i] == s.mask
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,7 +106,7 @@ class ExtensionSet:
         )
 
     def __repr__(self) -> str:
-        return f"ExtensionSet({len(self.extensions)} extensions over {self.af.n} args)"
+        return f"ExtensionSet({len(self._masks)} extensions over {self.af.n} args)"
 
 
 def grounded(af: AF) -> ArgSet:
@@ -115,6 +130,15 @@ def _search(
     final range includes every cover bit (cover == universe gives stable
     candidates directly).  Yield order is search order, not canonical order:
     ids ascending, taking an id before skipping it.
+
+    The admissible walk also tracks hostile, the attackers of the chosen set,
+    which no conflict-free superset can take.  Each threat (a hostile argument
+    not yet attacked) must be countered by a later member, so a branch dies as
+    soon as some threat has no attacker left among the future ids that are
+    neither covered nor hostile: the must-out labelling rule of Nofal,
+    Atkinson & Dunne, "Algorithms for decision problems in argument systems
+    under preferred semantics", AIJ 2014.  It removes only branches that yield
+    nothing, so the yield order is that of the plain walk.
     """
     if universe is None:
         ids, outs, inns = range(af.n), af.out_masks, af.in_masks
@@ -122,6 +146,7 @@ def _search(
         ids = _ids(universe)
         outs = [af.out_masks[i] for i in ids]
         inns = [af.in_masks[i] & universe for i in ids]
+    attackers = af.in_masks
     k = len(ids)
     bits = [1 << i for i in ids]
     blocked = forced_out | af.self_loop_mask
@@ -134,36 +159,33 @@ def _search(
         future_in[p] = future_in[p + 1] | (bits[p] if free else 0)
         future_pot[p] = future_pot[p + 1] | ((bits[p] | outs[p]) if free else 0)
 
-    # explicit stack of (position, chosen, covered, threats); the skip branch
+    # explicit stack of (position, chosen, covered, hostile); the skip branch
     # is pushed first so the take branch is explored first
     stack = [(0, 0, 0, 0)]
     while stack:
-        p, chosen, covered, threats = stack.pop()
+        p, chosen, covered, hostile = stack.pop()
         if cover & ~(chosen | covered | future_pot[p]):
             continue  # some required bit is out of reach
+        threats = (hostile & ~covered) if admissible else 0
+        if threats:
+            helpers = future_in[p] & ~(covered | hostile)
+            while threats:
+                low = threats & -threats
+                if not attackers[low.bit_length() - 1] & helpers:
+                    break
+                threats ^= low
+            if threats:
+                continue  # must-out: a threat nobody can ever counter
         if p == k:
-            if threats == 0 and not (cover & ~(chosen | covered)):
-                yield chosen
+            yield chosen
             continue
         bit = bits[p]
         if not (bit & forced_in):
-            stack.append((p + 1, chosen, covered, threats))
+            stack.append((p + 1, chosen, covered, hostile))
         if bit & (blocked | covered) or outs[p] & chosen:
             continue
-        ncovered = covered | outs[p]
-        if not admissible:
-            stack.append((p + 1, chosen | bit, ncovered, 0))
-            continue
-        nthreats = (threats | inns[p]) & ~ncovered
-        # a threat nobody can ever counter kills the whole branch
-        fresh = nthreats & ~threats
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            if not af.in_masks[low.bit_length() - 1] & future_in[p + 1]:
-                break
-        else:
-            stack.append((p + 1, chosen | bit, ncovered, nthreats))
+        nhostile = (hostile | inns[p]) if admissible else 0
+        stack.append((p + 1, chosen | bit, covered | outs[p], nhostile))
 
 
 def _stable_search(af: AF, *, forced_in: int = 0, forced_out: int = 0) -> Iterator[int]:
@@ -321,12 +343,13 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
             m | _attacked_mask(af, m) == rng
             for m in _search(af, admissible=False, cover=rng)
         )
-    if mask & ~_char_mask(af, mask):
+    defended = _char_mask(af, mask)
+    if mask & ~defended:
         return False  # not admissible
     if sem is Semantics.ADM:
         return True
     if sem is Semantics.COM:
-        return _char_mask(af, mask) == mask
+        return defended == mask
     if sem is Semantics.PRF:
         return all(m == mask for m in _search(af, admissible=True, forced_in=mask))
     if sem is Semantics.SEM:

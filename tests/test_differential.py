@@ -15,6 +15,10 @@ past its enumeration cap on a 600-argument grid.
 
 Routines that take a universe mask against the same routine run on the
 sub-framework that restrict() builds, mapped back to parent ids.
+
+The backtracking _search, in yield order, against every subset tested by
+definition and sorted into its take-first order, with random pins, cover and
+universe in both modes.
 """
 from __future__ import annotations
 
@@ -235,3 +239,61 @@ def test_universe_routines_match_restricted_frameworks():
             assert list(_search(af, admissible=admissible, universe=universe)) == lifted(
                 _search(sub, admissible=admissible)
             )
+
+
+def _search_by_definition(
+    af: AF, admissible: bool, forced_in: int, forced_out: int, cover: int, universe: int
+) -> list[int]:
+    """What _search yields, by testing every subset of universe: conflict-free
+    (admissible against attackers inside universe), pins respected, cover
+    inside the range; in take-first order, where at the lowest id two sets
+    differ on, the set that contains it comes first."""
+    ids = [i for i in range(af.n) if universe >> i & 1]
+    found = []
+    for m in range(1 << af.n):
+        if m & ~universe or m & forced_out or forced_in & universe & ~m:
+            continue
+        targets = _attacked_mask(af, m)
+        if m & targets or cover & ~(m | targets):
+            continue
+        if admissible and any(
+            af.in_masks[i] & universe & ~targets for i in ids if m >> i & 1
+        ):
+            continue
+        found.append(m)
+    return sorted(found, key=lambda m: [not m >> i & 1 for i in ids])
+
+
+def test_search_matches_definition_in_yield_order():
+    rng = random.Random(41)
+    calls = yielded = 0
+    for _ in range(1500):
+        n = rng.randint(0, 11)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.45))
+        # self-attacks included: they block an id as forced_out does
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+
+        def draw(q: float) -> int:
+            return sum(1 << i for i in range(n) if rng.random() < q)
+
+        for _ in range(3):
+            pins = dict(forced_in=draw(0.1), forced_out=draw(0.1))
+            cover = draw(0.3) if rng.random() < 0.5 else 0
+            universe = draw(0.75) if rng.random() < 0.5 else None
+            for admissible in (False, True):
+                got = list(
+                    _search(af, admissible=admissible, cover=cover, universe=universe, **pins)
+                )
+                expected = _search_by_definition(
+                    af,
+                    admissible,
+                    pins["forced_in"],
+                    pins["forced_out"],
+                    cover,
+                    af.full_mask if universe is None else universe,
+                )
+                assert got == expected, (af.attacks, admissible, pins, cover, universe)
+                calls += 1
+                yielded += len(got) > 1
+    assert yielded >= calls // 4  # most calls have an order to check

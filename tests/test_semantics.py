@@ -79,6 +79,40 @@ def test_extension_set_behaviour(af6):
     assert es == ExtensionSet(af6, [0b101001, 0b100101])
 
 
+def test_extension_set_public_surface(af6):
+    prf = enumerate_extensions(af6, "prf")
+    acf, adf = af6.argset(["a", "c", "f"]), af6.argset(["a", "d", "f"])
+    assert prf.extensions == (acf, adf)
+    assert list(prf) == [acf, adf]
+    assert prf.masks() == (acf.mask, adf.mask)
+    assert prf.names() == [("a", "c", "f"), ("a", "d", "f")]
+    assert len(prf) == 2
+    assert acf in prf and af6.argset(["a"]) not in prf
+    assert prf == ExtensionSet(af6, [adf.mask, acf.mask])
+    assert prf != ExtensionSet(af6, [acf.mask])
+    assert prf != ExtensionSet(AF(["x"], []), [])
+    assert repr(prf) == "ExtensionSet(2 extensions over 6 args)"
+
+    af3 = AF(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    empty = enumerate_extensions(af3, "stb")
+    assert empty.extensions == () and list(empty) == []
+    assert empty.masks() == () and empty.names() == []
+    assert len(empty) == 0 and ArgSet(0, 3) not in empty
+    assert empty == ExtensionSet(af3, [])
+    assert repr(empty) == "ExtensionSet(0 extensions over 3 args)"
+
+
+def test_extension_set_membership_needs_the_same_universe():
+    af3 = AF(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    exts = enumerate_extensions(af3, "prf")
+    assert exts.masks() == (0,)
+    assert ArgSet(0, 3) in exts
+    # equal masks over a foreign universe: not the same set, as for ArgSet ==
+    for n in (2, 5):
+        assert ArgSet(0, n) not in exts
+        assert (ArgSet(0, n) in exts) == (ArgSet(0, n) in list(exts))
+
+
 # --- verification ------------------------------------------------------------
 
 def test_verify_demo(af6):
