@@ -10,9 +10,12 @@ script runs one pair, `python3 perfbench/run.py --workload W --seed N
 BENCHMARK.json; even pairs run the parent first, odd pairs the change.
 
 The file, written at the repository root after every pair, keeps the detail and
-result lines of every run and, per workload and end-to-end metric, each side's
-median, quartiles and range over the seeds and the number of pairs the change
-won (ties count for neither side).
+result lines of every run and, per workload, each side's total of failed ops
+and, per end-to-end metric, each side's median, quartiles and range over the
+seeds and the number of pairs the change won (ties count for neither side).
+
+perfbench/run.py exits 0 even when a run answers wrongly, so this script exits
+1, after writing the file, if any run reported "correct": false.
 """
 from __future__ import annotations
 
@@ -59,7 +62,11 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    out = {}
+    out = {
+        "failed": {
+            s: sum(r[s]["result"]["failed"] for r in runs) for s in ("parent", "change")
+        }
+    }
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         side = {
@@ -125,6 +132,16 @@ def main() -> int:
                     json.dump(report, fh, indent=1)
                     fh.write("\n")
     print(out_path)
+    incorrect = [
+        f"{workload} seed {pair['seed']} {side}"
+        for workload, entry in report["workloads"].items()
+        for pair in entry["runs"]
+        for side in ("parent", "change")
+        if not pair[side]["result"]["correct"]
+    ]
+    if incorrect:
+        print("incorrect answers in: " + ", ".join(incorrect), file=sys.stderr)
+        return 1
     return 0
 
 

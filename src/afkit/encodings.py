@@ -196,11 +196,14 @@ inU(M,X) :- t(N,X), not mr(N,X), succ(N,M), not true(N).
 """
 
 
+_OPTIMIZE = "optimize(1,1,incl).\n"
+
+
 def _minimize(predicate: str) -> str:
     return (
         "% subset-minimization directive; needs a metasp-capable pipeline\n"
-        "optimize(1,1,incl).\n"
-        f"#minimize[{predicate}].\n"
+        + _OPTIMIZE
+        + f"#minimize[{predicate}].\n"
     )
 
 
@@ -251,16 +254,6 @@ _PROGRAMS: dict[EncodingId, tuple[str, ...]] = {
     ),
 }
 
-_OPTIMIZATION_IDS = frozenset(
-    {
-        EncodingId.PRF_METASP,
-        EncodingId.SEM_METASP,
-        EncodingId.STG_METASP,
-        EncodingId.RGROUND_METASP,
-        EncodingId.RGROUND_METASP_PRIME,
-    }
-)
-
 _SEMANTICS_OF = {
     EncodingId.CF: Semantics.CF,
     EncodingId.ADM: Semantics.ADM,
@@ -299,7 +292,8 @@ def emit_encoding(encoding: EncodingId | str) -> str:
 
 
 def is_optimization_encoding(encoding: EncodingId | str) -> bool:
-    return EncodingId(encoding) in _OPTIMIZATION_IDS
+    """Whether the program carries a _minimize directive."""
+    return any(_OPTIMIZE in part for part in _PROGRAMS[EncodingId(encoding)])
 
 
 def semantics_of(encoding: EncodingId | str) -> Semantics:
@@ -314,5 +308,5 @@ def emit_job(af: AF, encoding: EncodingId | str) -> AspJob:
         semantics=_SEMANTICS_OF[eid],
         instance=emit_instance(af),
         program=emit_encoding(eid),
-        is_optimization=eid in _OPTIMIZATION_IDS,
+        is_optimization=is_optimization_encoding(eid),
     )

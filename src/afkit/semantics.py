@@ -9,19 +9,27 @@ state.  Its admissible walk applies the must-out labelling rule of Nofal,
 Atkinson & Dunne ("Algorithms for decision problems in argument systems under
 preferred semantics", AIJ 2014): an attacker of the chosen set can never join
 it, so a branch dies once some such attacker, not yet attacked itself, has no
-attacker left that a later step could still take.  For preferred/semi-stable
-it first absorbs the grounded part (every complete extension contains grd(F)
-and excludes its targets), then splits the remainder into weakly connected
-components and recombines the per-component results; stage gets the component
-split only, since absorbing the grounded range is not sound for plain
+attacker left that a later step could still take.
+
+Complete, stable, preferred, semi-stable and stage extensions are built one
+weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
+AIJ 2005): each is a base joined with one local extension per component.  For
+com/stb/prf/sem the base is the grounded extension, which every complete
+extension contains along with none of its targets, and the components are
+those of what lies outside its range.  An argument there is attacked from
+outside its component only by the grounded extension's targets, which the base
+already counters.  Stage gets base 0 and the components of the whole
+framework, since absorbing the grounded range is not sound for plain
 conflict-free maximality.
 
-Semi-stable and stage are stable-first: when a framework has a stable
-extension, its semi-stable and its stage extensions are exactly its stable
-ones (Caminada, "Semi-stable semantics", COMMA 2006; Verheij 1996).  So
-sem/stg run the stable search first, and enumeration, acceptance and
-verification fall back to the range-maximal filters only when it finds
-nothing.
+Semi-stable and stage are stable-first in each component: a component's local
+extensions are its stable sets when it has any, since a framework with a
+stable extension has exactly its stable ones as semi-stable and stage
+extensions (Caminada, "Semi-stable semantics", COMMA 2006; Verheij 1996).
+Only a component without a stable set runs the range-maximal filter, so a
+disjoint odd cycle costs what the cycle costs.  Acceptance and verification
+apply the rule to the whole framework: they fall back to the range-maximal
+filters when it has no stable extension.
 
 brute_force is the deliberately naive oracle: literal definitions evaluated
 over all subsets with frozenset algebra, sharing no search code with the
@@ -242,14 +250,23 @@ def _range_maximal(af: AF, masks: Iterable[int], universe: int) -> list[int]:
     return [m for m, r in pairs if r in best]
 
 
-def _combine_components(af: AF, base: int, universe: int, comp_fn) -> list[int]:
-    """base joined with one comp_fn(af, cmask) result per weak component of
-    the sub-framework on universe, in every combination."""
-    combos = [base]
-    for cmask in _weak_component_masks(af, universe):
-        local = comp_fn(af, cmask)
-        combos = [p | q for p in combos for q in local]
-    return combos
+def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
+    """sem's extensions of the weak component c, as masks inside c, given the
+    grounded extension g and its targets gatt."""
+    if sem is Semantics.PRF:
+        return _subset_maximal(_search(af, admissible=True, universe=c))
+    if sem is Semantics.COM:
+        return [
+            m
+            for m in _search(af, admissible=True, universe=c)
+            if _char_mask(af, g | m) & c == m
+        ]
+    stable = list(
+        _search(af, admissible=False, forced_in=g, forced_out=gatt, cover=c, universe=c)
+    )
+    if stable or sem is Semantics.STB:
+        return stable
+    return _range_maximal(af, _search(af, admissible=sem is Semantics.SEM, universe=c), c)
 
 
 def _enum_masks(af: AF, sem: Semantics) -> list[int]:
@@ -257,47 +274,24 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
         return list(_search(af, admissible=False))
     if sem is Semantics.ADM:
         return list(_search(af, admissible=True))
-    if sem in (Semantics.STB, Semantics.SEM, Semantics.STG):
-        stable = list(_stable_search(af))
-        if stable or sem is Semantics.STB:
-            return stable
-    g = _grounded_mask(af.out_masks, af.in_masks)
-    if sem is Semantics.GRD:
-        return [g]
-    gatt = _attacked_mask(af, g)
-    if sem is Semantics.COM:
-        return [
-            m
-            for m in _search(af, admissible=True, forced_in=g, forced_out=gatt)
-            if _char_mask(af, m) == m
-        ]
-    rest = af.full_mask & ~(g | gatt)
-    if sem is Semantics.PRF:
-        return _combine_components(
-            af,
-            g,
-            rest,
-            lambda a, c: _subset_maximal(_search(a, admissible=True, universe=c)),
-        )
-    if sem is Semantics.SEM:
-        return _combine_components(
-            af,
-            g,
-            rest,
-            lambda a, c: _range_maximal(a, _search(a, admissible=True, universe=c), c),
-        )
-    if sem is Semantics.STG:
-        return _combine_components(
-            af,
-            0,
-            af.full_mask,
-            lambda a, c: _range_maximal(a, _search(a, admissible=False, universe=c), c),
-        )
     if sem is Semantics.GRD_STAR:
         from . import resolution
 
         return list(resolution.grd_star(af, max_args=None).masks())
-    raise ValueError(f"unhandled semantics {sem!r}")
+    g = _grounded_mask(af.out_masks, af.in_masks)
+    if sem is Semantics.GRD:
+        return [g]
+    gatt = _attacked_mask(af, g)
+    if sem is Semantics.STG:
+        combos, universe = [0], af.full_mask
+    else:
+        combos, universe = [g], af.full_mask & ~(g | gatt)
+    for c in _weak_component_masks(af, universe):
+        local = _local(af, sem, c, g, gatt)
+        if not local:
+            return []
+        combos = [p | q for p in combos for q in local]
+    return combos
 
 
 def enumerate_extensions(

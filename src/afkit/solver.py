@@ -6,10 +6,13 @@ directly or set environment variables —
   AFKIT_SOLVER_CMD     command line; a literal {input} token is replaced by
                        the path of a temp file holding the program, otherwise
                        the program is piped to stdin
-  AFKIT_SOLVER_METASP  "1" if the command interprets the optimize(1,1,incl) /
-                       #minimize[pred] subset-minimization convention
-  AFKIT_SOLVER_CONFIG  path of a JSON file with keys "command" and
-                       "metasp_capable" (the variables above win)
+  AFKIT_SOLVER_METASP  true (1/true/yes/on, any case) if the command
+                       interprets the optimize(1,1,incl) / #minimize[pred]
+                       subset-minimization convention; false when empty or
+                       0/false/no/off; any other value is an error
+  AFKIT_SOLVER_CONFIG  path of a JSON file with keys "command" (a non-empty
+                       string) and "metasp_capable" (a JSON boolean); the
+                       variables above win
 
 Output parsing follows the clasp convention: each model is the line after an
 "Answer: N" line, and in/1 atoms name the extension members.  Exit codes 0,
@@ -36,6 +39,9 @@ _IN_ATOM_RE = re.compile(r"\bin\(([a-z][a-z0-9_]*)\)")
 ENV_COMMAND = "AFKIT_SOLVER_CMD"
 ENV_METASP = "AFKIT_SOLVER_METASP"
 ENV_CONFIG = "AFKIT_SOLVER_CONFIG"
+
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("", "0", "false", "no", "off")
 
 
 class SolverError(Exception):
@@ -65,13 +71,14 @@ class SolverConfig:
 
     @staticmethod
     def from_env(environ: dict[str, str] | None = None) -> "SolverConfig | None":
-        """Build a config from the environment; None when nothing is set."""
+        """Build a config from the environment; None when nothing is set.
+
+        Raises SolverConfigError for a metasp flag that is not a boolean, or a
+        config-file command that is not a non-empty string.
+        """
         env = os.environ if environ is None else environ
-        command = env.get(ENV_COMMAND)
-        metasp = env.get(ENV_METASP)
+        data = {}
         config_path = env.get(ENV_CONFIG)
-        file_command = None
-        file_metasp = None
         if config_path:
             try:
                 with open(config_path, encoding="utf-8") as handle:
@@ -80,18 +87,31 @@ class SolverConfig:
                 raise SolverConfigError(f"cannot read solver config {config_path}: {exc}")
             if not isinstance(data, dict):
                 raise SolverConfigError(f"solver config {config_path} must be a JSON object")
-            file_command = data.get("command")
-            file_metasp = data.get("metasp_capable")
-        command = command or file_command
+            if "command" in data and not (
+                isinstance(data["command"], str) and data["command"].strip()
+            ):
+                raise SolverConfigError(
+                    f"solver config {config_path}: command must be a non-empty string"
+                )
+            if "metasp_capable" in data and not isinstance(data["metasp_capable"], bool):
+                raise SolverConfigError(
+                    f"solver config {config_path}: metasp_capable must be true or false"
+                )
+        metasp = env.get(ENV_METASP)
+        if metasp is None:
+            capable = data.get("metasp_capable", False)
+        elif metasp.lower() in _TRUE_WORDS:
+            capable = True
+        elif metasp.lower() in _FALSE_WORDS:
+            capable = False
+        else:
+            raise SolverConfigError(
+                f"{ENV_METASP}={metasp!r} is not 1/true/yes/on or empty/0/false/no/off"
+            )
+        command = env.get(ENV_COMMAND) or data.get("command")
         if not command:
             return None
-        if metasp is not None:
-            capable = metasp not in ("", "0", "false", "no")
-        elif file_metasp is not None:
-            capable = bool(file_metasp)
-        else:
-            capable = False
-        return SolverConfig(command=str(command), metasp_capable=capable)
+        return SolverConfig(command=command, metasp_capable=capable)
 
 
 def parse_answer_sets(output: str) -> list[frozenset[str]]:

@@ -5,9 +5,12 @@ tests reach: the classic semantics against brute_force, grd_star against
 grd_star_naive.  The seeds are fixed so that the grd_star recursion goes two
 levels deep and the grounded remainder splits into several weak components;
 test_instances_reach_deep_traces_and_split_remainders keeps that true.
-All of them have stable extensions, so semi-stable and stage are also checked
-on frameworks without one, where the range-maximal fallback runs, and in a
-random sweep of small frameworks of both kinds.
+All of them have stable extensions, so every semantics is also checked on
+frameworks without one, where semi-stable and stage fall back to the
+range-maximal filter in the components that lack stable sets; in a random
+sweep of small frameworks of both kinds; and on the small ones of that sweep
+joined with a disjoint 3-cycle.  A call recorder checks that the fallback
+runs on the 3-cycle alone when a grid sits beside it.
 
 The constructive grd_star against its definition by generate and test, on
 random frameworks with more mutual pairs than grd_star_naive can resolve, and
@@ -48,6 +51,7 @@ from afkit import (
     verify_grd_star,
 )
 from afkit.core import _attacked_mask, _grounded_mask
+from afkit import semantics
 from afkit.semantics import _search, _weak_component_masks
 from conftest import plus_three_cycle
 
@@ -113,11 +117,31 @@ def test_range_maximal_fallback_matches_oracle(spec, cycle):
     if cycle:
         af = plus_three_cycle(af)
     assert 13 <= af.n <= 16
-    for sem in ("sem", "stg"):
+    for sem in ("stb", "com", "prf", "sem", "stg"):
         expected = brute_force(af, sem)
         assert enumerate_extensions(af, sem) == expected, sem
         # no extension has full range, so the framework has no stable one
         assert all(range_of(af, e).mask != af.full_mask for e in expected), sem
+
+
+@pytest.mark.parametrize("spec", [s for s, cycle in NO_STABLE if cycle], ids=_label)
+def test_range_maximal_runs_only_on_the_cycle(spec, monkeypatch):
+    """Stable-first holds per component: the grid keeps its stable sets and
+    only the 3-cycle, the one component without any, is range-filtered."""
+    af = plus_three_cycle(generate(spec))
+    cycle = 0b111 << (af.n - 3)
+    calls = []
+    range_maximal = semantics._range_maximal
+
+    def recorder(af_, masks, universe):
+        calls.append(universe)
+        return range_maximal(af_, masks, universe)
+
+    monkeypatch.setattr(semantics, "_range_maximal", recorder)
+    for sem in ("sem", "stg"):
+        calls.clear()
+        enumerate_extensions(af, sem)
+        assert calls == [cycle], sem
 
 
 def _sweep_frameworks() -> list[AF]:
@@ -151,6 +175,12 @@ def test_stable_first_semantics_match_oracle():
             assert [verify(af, sem, s) for s in subsets] == [
                 s in expected for s in subsets
             ], (af.attacks, sem)
+
+
+def test_per_component_semantics_match_oracle_beside_a_three_cycle():
+    for af in (plus_three_cycle(af) for af in SWEEP if af.n <= 6):
+        for sem in ("stb", "com", "prf", "sem", "stg"):
+            assert enumerate_extensions(af, sem) == brute_force(af, sem), (af.attacks, sem)
 
 
 def _grd_star_by_candidates(af: AF) -> ExtensionSet:

@@ -176,9 +176,16 @@ def test_from_env_command_only():
 def test_from_env_metasp_flag_parsing():
     env = {"AFKIT_SOLVER_CMD": "x", "AFKIT_SOLVER_METASP": "1"}
     assert SolverConfig.from_env(env).metasp_capable is True
-    for off in ("0", "", "false", "no"):
+    for on in ("true", "True", "YES", "on"):
+        env["AFKIT_SOLVER_METASP"] = on
+        assert SolverConfig.from_env(env).metasp_capable is True
+    for off in ("0", "", "false", "no", "False", "off", "OFF"):
         env["AFKIT_SOLVER_METASP"] = off
         assert SolverConfig.from_env(env).metasp_capable is False
+    for bad in ("2", "maybe", "enabled"):
+        env["AFKIT_SOLVER_METASP"] = bad
+        with pytest.raises(SolverConfigError):
+            SolverConfig.from_env(env)
 
 
 def test_from_env_config_file(tmp_path):
@@ -186,6 +193,24 @@ def test_from_env_config_file(tmp_path):
     path.write_text(json.dumps({"command": "runsolver x", "metasp_capable": True}))
     config = SolverConfig.from_env({"AFKIT_SOLVER_CONFIG": str(path)})
     assert config == SolverConfig(command="runsolver x", metasp_capable=True)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"command": "x", "metasp_capable": "false"},
+        {"command": "x", "metasp_capable": 1},
+        {"command": "x", "metasp_capable": None},
+        {"command": ["clingo", "{input}"]},
+        {"command": ""},
+        {"command": 7},
+    ],
+)
+def test_from_env_config_file_types(tmp_path, data):
+    path = tmp_path / "solver.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SolverConfigError):
+        SolverConfig.from_env({"AFKIT_SOLVER_CONFIG": str(path)})
 
 
 def test_from_env_variables_beat_config_file(tmp_path):
