@@ -1,0 +1,98 @@
+"""Print ROADMAP's hard-cases table: enumeration time per instance and semantics.
+
+    python3 scripts/hard_cases.py
+
+Each cell is the minimum wall time of 3 in-process
+`enumerate_extensions(af, sem, max_args=None)` calls, followed by the number of
+extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
+reads `>10 s`.  One process, no workers; the instances are those of ROADMAP:
+`grid N` is `grid_dimensions(N)` with p=0.3 and seed 1, `arb N` is `arbitrary`
+with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, and the last
+row is the 30x40 grid with p=0.  It imports afkit from this checkout's `src/`.
+"""
+from __future__ import annotations
+
+import os
+import signal
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from afkit import AF, GenSpec, enumerate_extensions, generate  # noqa: E402
+from afkit.bench import grid_dimensions  # noqa: E402
+
+SEMANTICS = ("com", "stb", "prf", "sem", "stg", "grd_star")
+RUNS = 3
+LIMIT_S = 10
+
+
+class Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise Timeout
+
+
+def grid(size: int, p: float = 0.3) -> AF:
+    rows, cols = grid_dimensions(size)
+    return generate(GenSpec(kind="grid", n=rows, m=cols, p=p, seed=1))
+
+
+def arb(size: int) -> AF:
+    return generate(GenSpec(kind="arbitrary", n=size, p=0.15, seed=1))
+
+
+def plus_three_cycle(af: AF) -> AF:
+    names = [a.name for a in af.args]
+    cycle = ["z0", "z1", "z2"]
+    attacks = [(names[a], names[b]) for a, b in af.attacks]
+    attacks += zip(cycle, cycle[1:] + cycle[:1])
+    return AF(names + cycle, attacks)
+
+
+INSTANCES = (
+    ("grid 30", lambda: grid(30)),
+    ("grid 60", lambda: grid(60)),
+    ("arb 60", lambda: arb(60)),
+    ("grid 30 + 3-cycle", lambda: plus_three_cycle(grid(30))),
+    ("30×40 grid, p=0", lambda: grid(1200, p=0.0)),
+)
+
+
+def _ms(seconds: float) -> str:
+    ms = seconds * 1000
+    if ms >= 1000:
+        return f"{ms / 1000:.2f} s"
+    return f"{ms:.2g} ms" if ms < 10 else f"{ms:.0f} ms"
+
+
+def cell(af: AF, sem: str) -> str:
+    best, count = float("inf"), 0
+    for _ in range(RUNS):
+        signal.alarm(LIMIT_S)
+        start = time.perf_counter()
+        try:
+            count = len(enumerate_extensions(af, sem, max_args=None))
+        except Timeout:
+            return f">{LIMIT_S} s"
+        finally:
+            signal.alarm(0)
+        best = min(best, time.perf_counter() - start)
+    return f"{_ms(best)} ({count:,})"
+
+
+def main() -> None:
+    signal.signal(signal.SIGALRM, _alarm)
+    print("| instance | " + " | ".join(SEMANTICS) + " |")
+    print("|---" * (len(SEMANTICS) + 1) + "|")
+    for label, build in INSTANCES:
+        af = build()
+        cells = [cell(af, sem) for sem in SEMANTICS]
+        print(f"| {label} | " + " | ".join(cells) + " |", flush=True)
+
+
+if __name__ == "__main__":
+    main()

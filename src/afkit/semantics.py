@@ -5,11 +5,13 @@ grounded (grd), stable (stb), preferred (prf), semi-stable (sem), stage (stg),
 and resolution-based grounded (grd_star, handled by the resolution module).
 
 The enumeration engine is a backtracking walk over argument ids with bitmask
-state.  Its admissible walk applies the must-out labelling rule of Nofal,
-Atkinson & Dunne ("Algorithms for decision problems in argument systems under
-preferred semantics", AIJ 2014): an attacker of the chosen set can never join
-it, so a branch dies once some such attacker, not yet attacked itself, has no
-attacker left that a later step could still take.
+state.  One support rule prunes it, serving both constraints of the paper's
+encodings: an argument the chosen set must still attack needs an attacker a
+later step could take.  Admissibility asks this of the unattacked attackers
+of the chosen set (the must-out rule of Nofal, Atkinson & Dunne, "Algorithms
+for decision problems in argument systems under preferred semantics", AIJ
+2014), and the range condition of stable, semi-stable and stage of the cover
+arguments no later step can take themselves.
 
 Complete, stable, preferred, semi-stable and stage extensions are built one
 weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
@@ -20,7 +22,8 @@ those of what lies outside its range.  An argument there is attacked from
 outside its component only by the grounded extension's targets, which the base
 already counters.  Stage gets base 0 and the components of the whole
 framework, since absorbing the grounded range is not sound for plain
-conflict-free maximality.
+conflict-free maximality; a stage component's stable sets are still found
+over the components of its own grounded remainder, as stb finds them.
 
 Semi-stable and stage are stable-first in each component: a component's local
 extensions are its stable sets when it has any, since a framework with a
@@ -139,14 +142,15 @@ def _search(
     candidates directly).  Yield order is search order, not canonical order:
     ids ascending, taking an id before skipping it.
 
-    The admissible walk also tracks hostile, the attackers of the chosen set,
-    which no conflict-free superset can take.  Each threat (a hostile argument
-    not yet attacked) must be countered by a later member, so a branch dies as
-    soon as some threat has no attacker left among the future ids that are
-    neither covered nor hostile: the must-out labelling rule of Nofal,
-    Atkinson & Dunne, "Algorithms for decision problems in argument systems
-    under preferred semantics", AIJ 2014.  It removes only branches that yield
-    nothing, so the yield order is that of the plain walk.
+    One support rule prunes the walk, checked as a child is pushed.  hostile,
+    the attackers of the chosen set, can never join it; helpers are the later
+    free ids neither covered nor hostile.  todo holds the threats, hostile
+    arguments not yet attacked (admissible walk only; the must-out rule of
+    Nofal, Atkinson & Dunne, AIJ 2014), and the cover bits out of range that
+    no helper can take (the range condition of the stable, semi-stable and
+    stage encodings).  A branch with a todo argument that no helper attacks
+    yields nothing and is not pushed, so the yield order is that of the plain
+    walk.  The cf walk without cover does no rule work.
     """
     if universe is None:
         ids, outs, inns = range(af.n), af.out_masks, af.in_masks
@@ -154,46 +158,57 @@ def _search(
         ids = _ids(universe)
         outs = [af.out_masks[i] for i in ids]
         inns = [af.in_masks[i] & universe for i in ids]
+        forced_in &= universe
     attackers = af.in_masks
     k = len(ids)
     bits = [1 << i for i in ids]
-    blocked = forced_out | af.self_loop_mask
-    # future_in[p]: still-choosable ids from position p on; future_pot[p]:
-    # those ids and their targets
+    # the pinned-in ids range over their targets in every yielded set, and
+    # neither those targets nor the pins' attackers can join it
+    clash = _attacked_mask(af, forced_in)
+    cover &= ~(forced_in | clash)
+    for i in _ids(forced_in):
+        clash |= attackers[i]
+    blocked = forced_out | af.self_loop_mask | clash
+    # future_in[p]: still-choosable ids from position p on
     future_in = [0] * (k + 1)
-    future_pot = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
-        free = not bits[p] & blocked
-        future_in[p] = future_in[p + 1] | (bits[p] if free else 0)
-        future_pot[p] = future_pot[p + 1] | ((bits[p] | outs[p]) if free else 0)
+        future_in[p] = future_in[p + 1] | (0 if bits[p] & blocked else bits[p])
+    track = admissible or bool(cover)
+    threat = -1 if admissible else 0
+    # near[p]: where taking id p can break the rule: its attackers, and the
+    # targets of the helpers it removes
+    near = [inns[p] | _attacked_mask(af, bits[p] | outs[p] | inns[p]) for p in range(k)]
+
+    def supported(scope: int, q: int, chosen: int, covered: int, hostile: int) -> bool:
+        helpers = future_in[q] & ~(covered | hostile)
+        todo = scope & ~covered & (hostile & threat | cover & ~(chosen | helpers))
+        while todo:
+            low = todo & -todo
+            if not attackers[low.bit_length() - 1] & helpers:
+                return False
+            todo ^= low
+        return True
 
     # explicit stack of (position, chosen, covered, hostile); the skip branch
     # is pushed first so the take branch is explored first
-    stack = [(0, 0, 0, 0)]
+    stack = [(0, 0, 0, 0)] if supported(cover, 0, 0, 0, 0) else []
     while stack:
         p, chosen, covered, hostile = stack.pop()
-        if cover & ~(chosen | covered | future_pot[p]):
-            continue  # some required bit is out of reach
-        threats = (hostile & ~covered) if admissible else 0
-        if threats:
-            helpers = future_in[p] & ~(covered | hostile)
-            while threats:
-                low = threats & -threats
-                if not attackers[low.bit_length() - 1] & helpers:
-                    break
-                threats ^= low
-            if threats:
-                continue  # must-out: a threat nobody can ever counter
         if p == k:
             yield chosen
             continue
-        bit = bits[p]
-        if not (bit & forced_in):
-            stack.append((p + 1, chosen, covered, hostile))
-        if bit & (blocked | covered) or outs[p] & chosen:
-            continue
-        nhostile = (hostile | inns[p]) if admissible else 0
-        stack.append((p + 1, chosen | bit, covered | outs[p], nhostile))
+        bit, out, q = bits[p], outs[p], p + 1
+        take = not (bit & (blocked | covered) or out & chosen)
+        # skipping a helper shrinks the helpers of bit and its targets only
+        if not bit & forced_in and (
+            not (track and take) or supported(bit | out, q, chosen, covered, hostile)
+        ):
+            stack.append((q, chosen, covered, hostile))
+        if take:
+            chosen, covered = chosen | bit, covered | out
+            hostile |= inns[p] if track else 0
+            if not track or supported(near[p], q, chosen, covered, hostile):
+                stack.append((q, chosen, covered, hostile))
 
 
 def _stable_search(af: AF, *, forced_in: int = 0, forced_out: int = 0) -> Iterator[int]:
@@ -250,6 +265,18 @@ def _range_maximal(af: AF, masks: Iterable[int], universe: int) -> list[int]:
     return [m for m, r in pairs if r in best]
 
 
+def _join(af: AF, sem: Semantics, base: int, universe: int, g: int, gatt: int) -> list[int]:
+    """base joined with one of sem's local extensions per weak component of
+    universe; none when some component has none."""
+    combos = [base]
+    for c in _weak_component_masks(af, universe):
+        local = _local(af, sem, c, g, gatt)
+        if not local:
+            return []
+        combos = [p | q for p in combos for q in local]
+    return combos
+
+
 def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
     """sem's extensions of the weak component c, as masks inside c, given the
     grounded extension g and its targets gatt."""
@@ -261,9 +288,13 @@ def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
             for m in _search(af, admissible=True, universe=c)
             if _char_mask(af, g | m) & c == m
         ]
-    stable = list(
-        _search(af, admissible=False, forced_in=g, forced_out=gatt, cover=c, universe=c)
-    )
+    if sem is Semantics.STG:
+        # c's stable sets split over what lies outside g's range, as stb's do
+        stable = _join(af, Semantics.STB, g & c, c & ~(g | gatt), g, gatt)
+    else:
+        stable = list(
+            _search(af, admissible=False, forced_in=g, forced_out=gatt, cover=c, universe=c)
+        )
     if stable or sem is Semantics.STB:
         return stable
     return _range_maximal(af, _search(af, admissible=sem is Semantics.SEM, universe=c), c)
@@ -283,15 +314,8 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
         return [g]
     gatt = _attacked_mask(af, g)
     if sem is Semantics.STG:
-        combos, universe = [0], af.full_mask
-    else:
-        combos, universe = [g], af.full_mask & ~(g | gatt)
-    for c in _weak_component_masks(af, universe):
-        local = _local(af, sem, c, g, gatt)
-        if not local:
-            return []
-        combos = [p | q for p in combos for q in local]
-    return combos
+        return _join(af, sem, 0, af.full_mask, g, gatt)
+    return _join(af, sem, g, af.full_mask & ~(g | gatt), g, gatt)
 
 
 def enumerate_extensions(

@@ -9,8 +9,9 @@ All of them have stable extensions, so every semantics is also checked on
 frameworks without one, where semi-stable and stage fall back to the
 range-maximal filter in the components that lack stable sets; in a random
 sweep of small frameworks of both kinds; and on the small ones of that sweep
-joined with a disjoint 3-cycle.  A call recorder checks that the fallback
-runs on the 3-cycle alone when a grid sits beside it.
+joined with a disjoint 3-cycle.  Call recorders check that the fallback runs
+on the 3-cycle alone when a grid sits beside it, and that stage searches a
+one-component grid's grounded remainder piece by piece, as stable does.
 
 The constructive grd_star against its definition by generate and test, on
 random frameworks with more mutual pairs than grd_star_naive can resolve, and
@@ -21,7 +22,9 @@ sub-framework that restrict() builds, mapped back to parent ids.
 
 The backtracking _search, in yield order, against every subset tested by
 definition and sorted into its take-first order, with random pins, cover and
-universe in both modes.
+universe in both modes, and with the shapes its support rule serves: the
+grounded pins of a stable walk partly outside the universe, and cover bits
+outside it.
 """
 from __future__ import annotations
 
@@ -142,6 +145,30 @@ def test_range_maximal_runs_only_on_the_cycle(spec, monkeypatch):
         calls.clear()
         enumerate_extensions(af, sem)
         assert calls == [cycle], sem
+
+
+def test_stage_splits_a_component_over_its_grounded_remainder(monkeypatch):
+    """On one weak component with a stable extension, stage finds its stable
+    sets as stb does: one search per component of the grounded remainder."""
+    af = generate(GenSpec(kind="grid", n=2, m=8, p=0.3, seed=9))
+    g = _grounded_mask(af.out_masks, af.in_masks)
+    remainder = af.full_mask & ~(g | _attacked_mask(af, g))
+    assert _weak_component_masks(af) == [af.full_mask]
+    assert g and len(_weak_component_masks(af, remainder)) == 2
+    universes = []
+    search = semantics._search
+
+    def recorder(af_, **kwargs):
+        universes.append(kwargs.get("universe"))
+        return search(af_, **kwargs)
+
+    monkeypatch.setattr(semantics, "_search", recorder)
+    calls = {}
+    for sem in ("stb", "stg"):
+        universes.clear()
+        assert enumerate_extensions(af, sem) == brute_force(af, "stb"), sem
+        calls[sem] = list(universes)
+    assert calls["stg"] == calls["stb"] == _weak_component_masks(af, remainder)
 
 
 def _sweep_frameworks() -> list[AF]:
@@ -327,3 +354,41 @@ def test_search_matches_definition_in_yield_order():
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 4  # most calls have an order to check
+
+
+def test_search_matches_definition_on_the_support_rule_shapes():
+    """The call shapes the support rule serves: a stable walk pinned by the
+    grounded extension that lies partly outside the universe, as _local
+    calls it, and cover bits outside the universe."""
+    rng = random.Random(43)
+    calls = yielded = 0
+    for _ in range(1200):
+        n = rng.randint(1, 11)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.45))
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+        g = _grounded_mask(af.out_masks, af.in_masks)
+        gatt = _attacked_mask(af, g)
+        universe = sum(1 << i for i in range(n) if rng.random() < 0.7)
+        some = universe & rng.getrandbits(n) & rng.getrandbits(n)
+        beyond = af.full_mask & ~universe & rng.getrandbits(n)
+        shapes = [(g, gatt, universe), (0, 0, some | beyond), (g, gatt, some | beyond)]
+        for forced_in, forced_out, cover in shapes:
+            for admissible in (False, True):
+                got = list(
+                    _search(
+                        af,
+                        admissible=admissible,
+                        forced_in=forced_in,
+                        forced_out=forced_out,
+                        cover=cover,
+                        universe=universe,
+                    )
+                )
+                expected = _search_by_definition(
+                    af, admissible, forced_in, forced_out, cover, universe
+                )
+                assert got == expected, (af.attacks, admissible, forced_in, cover, universe)
+                calls += 1
+                yielded += len(got) > 1
+    assert yielded >= calls // 8  # many calls have an order to check
