@@ -16,6 +16,7 @@ from .core import ApxError, parse_apx, serialize_apx
 from .encodings import EncodingId, emit_encoding, emit_instance, emit_job
 from .generators import KINDS, NEIGHBORHOODS, GenSpec, generate
 from .semantics import (
+    DEFAULT_SEARCH_CAP,
     SearchCapError,
     Semantics,
     credulous,
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--set", help="comma-separated argument names for VER")
     solve.add_argument("--format", choices=["lines", "json", "count"],
                        default="lines", help="EE output format")
-    solve.add_argument("--max-args", type=int, default=26, metavar="N",
+    solve.add_argument("--max-args", type=int, default=DEFAULT_SEARCH_CAP, metavar="N",
                        help="enumeration cap (0 lifts the cap)")
     solve.set_defaults(func=cmd_solve)
 

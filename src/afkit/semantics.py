@@ -31,8 +31,9 @@ stable extension has exactly its stable ones as semi-stable and stage
 extensions (Caminada, "Semi-stable semantics", COMMA 2006; Verheij 1996).
 Only a component without a stable set runs the range-maximal filter, so a
 disjoint odd cycle costs what the cycle costs.  Acceptance and verification
-apply the rule to the whole framework: they fall back to the range-maximal
-filters when it has no stable extension.
+find stable sets per component of the grounded remainder, as enumeration
+does; sem/stg switch to stb only when the whole framework has a stable
+extension, and otherwise fall back to the range-maximal filters.
 
 brute_force is the deliberately naive oracle: literal definitions evaluated
 over all subsets with frozenset algebra, sharing no search code with the
@@ -169,6 +170,8 @@ def _search(
     for i in _ids(forced_in):
         clash |= attackers[i]
     blocked = forced_out | af.self_loop_mask | clash
+    if forced_in & blocked:
+        return  # a pin is pinned out, attacks itself or clashes with a pin
     # future_in[p]: still-choosable ids from position p on
     future_in = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
@@ -209,28 +212,6 @@ def _search(
             hostile |= inns[p] if track else 0
             if not track or supported(near[p], q, chosen, covered, hostile):
                 stack.append((q, chosen, covered, hostile))
-
-
-def _stable_search(af: AF, *, forced_in: int = 0, forced_out: int = 0) -> Iterator[int]:
-    """Stable extensions under the given pins.  Every stable extension is
-    complete, so it contains the grounded extension and avoids its targets."""
-    g = _grounded_mask(af.out_masks, af.in_masks)
-    return _search(
-        af,
-        admissible=False,
-        forced_in=forced_in | g,
-        forced_out=forced_out | _attacked_mask(af, g),
-        cover=af.full_mask,
-    )
-
-
-def _as_stable(af: AF, sem: Semantics) -> Semantics:
-    """STB for sem/stg on a framework with a stable extension, whose
-    semi-stable and stage extensions are then exactly the stable ones;
-    sem itself otherwise."""
-    if sem in (Semantics.SEM, Semantics.STG) and any(_stable_search(af)):
-        return Semantics.STB
-    return sem
 
 
 def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
@@ -292,12 +273,25 @@ def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
         # c's stable sets split over what lies outside g's range, as stb's do
         stable = _join(af, Semantics.STB, g & c, c & ~(g | gatt), g, gatt)
     else:
-        stable = list(
-            _search(af, admissible=False, forced_in=g, forced_out=gatt, cover=c, universe=c)
-        )
+        stable = list(_search(af, admissible=False, cover=c, universe=c))
     if stable or sem is Semantics.STB:
         return stable
     return _range_maximal(af, _search(af, admissible=sem is Semantics.SEM, universe=c), c)
+
+
+def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
+    """Whether a stable extension holds forced_in and avoids forced_out.  It is
+    complete, so it holds the grounded extension g and none of g's targets;
+    the rest is one stable set per weak component outside g's range."""
+    g = _grounded_mask(af.out_masks, af.in_masks)
+    gatt = _attacked_mask(af, g)
+    if forced_in & gatt or forced_out & g:
+        return False  # a component's universe would drop these pins
+    return all(
+        any(_search(af, admissible=False, forced_in=forced_in, forced_out=forced_out,
+                    cover=c, universe=c))
+        for c in _weak_component_masks(af, af.full_mask & ~(g | gatt))
+    )
 
 
 def _enum_masks(af: AF, sem: Semantics) -> list[int]:
@@ -354,15 +348,10 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
         rng = mask | _attacked_mask(af, mask)
         if rng == af.full_mask:
             return True  # stable, hence semi-stable and stage
-        if _as_stable(af, sem) is Semantics.STB:
+        if sem is Semantics.STB or _has_stable(af):
             return False
-    if sem is Semantics.STG:
-        return all(
-            m | _attacked_mask(af, m) == rng
-            for m in _search(af, admissible=False, cover=rng)
-        )
     defended = _char_mask(af, mask)
-    if mask & ~defended:
+    if sem is not Semantics.STG and mask & ~defended:
         return False  # not admissible
     if sem is Semantics.ADM:
         return True
@@ -370,10 +359,11 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
         return defended == mask
     if sem is Semantics.PRF:
         return all(m == mask for m in _search(af, admissible=True, forced_in=mask))
-    if sem is Semantics.SEM:
+    if sem in (Semantics.SEM, Semantics.STG):
+        # no admissible (sem) or conflict-free (stg) set has a larger range
         return all(
             m | _attacked_mask(af, m) == rng
-            for m in _search(af, admissible=True, cover=rng)
+            for m in _search(af, admissible=sem is Semantics.SEM, cover=rng)
         )
     raise ValueError(f"unhandled semantics {sem!r}")
 
@@ -393,7 +383,8 @@ def credulous(
     """
     sem = Semantics(semantics)
     bit = 1 << af.arg_id(arg)
-    sem = _as_stable(af, sem)
+    if sem in (Semantics.SEM, Semantics.STG) and _has_stable(af):
+        sem = Semantics.STB  # its sem/stg extensions are then its stable ones
     if sem is Semantics.CF:
         return not af.self_loop_mask & bit
     if sem is Semantics.GRD:
@@ -402,7 +393,7 @@ def credulous(
         # credulously accepted under preferred/complete iff under admissible
         return any(_search(af, admissible=True, forced_in=bit))
     if sem is Semantics.STB:
-        return any(_stable_search(af, forced_in=bit))
+        return _has_stable(af, forced_in=bit)
     exts = enumerate_extensions(af, sem, max_args=max_args)
     return any(e.mask & bit for e in exts)
 
@@ -422,14 +413,15 @@ def skeptical(
     """
     sem = Semantics(semantics)
     bit = 1 << af.arg_id(arg)
-    sem = _as_stable(af, sem)
+    if sem in (Semantics.SEM, Semantics.STG) and _has_stable(af):
+        sem = Semantics.STB  # its sem/stg extensions are then its stable ones
     if sem in (Semantics.CF, Semantics.ADM):
         return False  # the empty set is conflict-free and admissible
     if sem in (Semantics.GRD, Semantics.COM):
         # the grounded extension is the least complete extension
         return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
     if sem is Semantics.STB:
-        return not any(_stable_search(af, forced_out=bit))
+        return not _has_stable(af, forced_out=bit)
     exts = enumerate_extensions(af, sem, max_args=max_args)
     return all(e.mask & bit for e in exts)
 

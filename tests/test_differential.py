@@ -190,24 +190,61 @@ def test_sweep_has_frameworks_with_and_without_stable_extensions():
     assert has_stable.count(False) >= 50
 
 
+def _assert_decisions_match(af: AF, sem: str, expected: ExtensionSet) -> None:
+    """CA/SA of every argument and VER of every subset against expected."""
+    for a in range(af.n):
+        assert credulous(af, sem, a) == any(a in e for e in expected), (af.attacks, sem, a)
+        assert skeptical(af, sem, a) == all(a in e for e in expected), (af.attacks, sem, a)
+    subsets = [ArgSet(m, af.n) for m in range(1 << af.n)]
+    assert [verify(af, sem, s) for s in subsets] == [
+        s in expected for s in subsets
+    ], (af.attacks, sem)
+
+
 def test_stable_first_semantics_match_oracle():
     for af in SWEEP:
-        subsets = [ArgSet(m, af.n) for m in range(1 << af.n)]
         for sem in ("stb", "sem", "stg"):
             expected = brute_force(af, sem)
             assert enumerate_extensions(af, sem) == expected, (af.attacks, sem)
-            for a in range(af.n):
-                assert credulous(af, sem, a) == any(a in e for e in expected)
-                assert skeptical(af, sem, a) == all(a in e for e in expected)
-            assert [verify(af, sem, s) for s in subsets] == [
-                s in expected for s in subsets
-            ], (af.attacks, sem)
+            _assert_decisions_match(af, sem, expected)
 
 
 def test_per_component_semantics_match_oracle_beside_a_three_cycle():
     for af in (plus_three_cycle(af) for af in SWEEP if af.n <= 6):
         for sem in ("stb", "com", "prf", "sem", "stg"):
-            assert enumerate_extensions(af, sem) == brute_force(af, sem), (af.attacks, sem)
+            expected = brute_force(af, sem)
+            assert enumerate_extensions(af, sem) == expected, (af.attacks, sem)
+            if sem in ("stb", "sem", "stg"):
+                _assert_decisions_match(af, sem, expected)
+
+
+def test_stable_decisions_search_the_grounded_remainder_by_component(monkeypatch):
+    """CA/SA stb run one stable search per weak component of the grounded
+    remainder, as enumeration does, and none when the pin contradicts the
+    grounded extension."""
+    af = generate(GenSpec(kind="grid", n=2, m=8, p=0.3, seed=9))
+    g = _grounded_mask(af.out_masks, af.in_masks)
+    gatt = _attacked_mask(af, g)
+    components = _weak_component_masks(af, af.full_mask & ~(g | gatt))
+    assert g and gatt and len(components) == 2
+    stable = brute_force(af, "stb")
+    universes = []
+    search = semantics._search
+
+    def recorder(af_, **kwargs):
+        universes.append(kwargs.get("universe"))
+        return search(af_, **kwargs)
+
+    monkeypatch.setattr(semantics, "_search", recorder)
+    accepted = next(a for a in range(af.n) if any(a in e for e in stable))
+    assert credulous(af, "stb", accepted)
+    assert universes == components
+    for fn, pins, answer in ((credulous, gatt, False), (skeptical, g, True)):
+        for a in range(af.n):
+            if pins >> a & 1:
+                universes.clear()
+                assert fn(af, "stb", a) is answer
+                assert universes == [], (fn.__name__, a)
 
 
 def _grd_star_by_candidates(af: AF) -> ExtensionSet:

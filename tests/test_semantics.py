@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,24 @@ def test_credulous_cf_is_self_attack_freeness():
     af = AF(["x", "y"], [("x", "x"), ("x", "y")])
     assert not credulous(af, "cf", "x")
     assert credulous(af, "cf", "y")
+
+
+def test_credulous_rejects_a_self_attacking_pin_at_once():
+    """A pinned-in argument that attacks itself ends the search at entry,
+    not after every set of the 30 unattacked arguments ordered before it."""
+    af = AF([f"a{i}" for i in range(30)] + ["x"], [("x", "x")])
+
+    def alarm(signum, frame):
+        raise TimeoutError("the search walked past a blocked pin")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for sem in ("adm", "com", "prf", "stb"):
+            assert not credulous(af, sem, "x"), sem
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_skeptical_vacuous_on_empty_stable_set():
