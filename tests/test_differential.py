@@ -9,9 +9,12 @@ All of them have stable extensions, so every semantics is also checked on
 frameworks without one, where semi-stable and stage fall back to the
 range-maximal filter in the components that lack stable sets; in a random
 sweep of small frameworks of both kinds; and on the small ones of that sweep
-joined with a disjoint 3-cycle.  Call recorders check that the fallback runs
-on the 3-cycle alone when a grid sits beside it, and that stage searches a
-one-component grid's grounded remainder piece by piece, as stable does.
+joined with a disjoint 3-cycle.  The sweeps check credulous and skeptical
+acceptance of every argument and verification of every subset for stb, sem
+and stg too.  Call recorders check that the fallback runs on the 3-cycle
+alone when a grid sits beside it, that stage searches a one-component grid's
+grounded remainder piece by piece, as stable does, and that stable decisions
+search the same pieces, or none when the grounded extension already answers.
 
 The constructive grd_star against its definition by generate and test, on
 random frameworks with more mutual pairs than grd_star_naive can resolve, and
