@@ -1,0 +1,225 @@
+"""Mutation gate: every seeded mutant of the engines must fail its tests.
+
+    python3 scripts/mutants.py [NAME ...]
+
+MUTANTS is a table of named textual substitutions: a file, the old text (which
+must occur exactly once in it), the new text, and the test files that must
+catch the change.  The script copies `src/`, `tests/` and `pyproject.toml` into
+a temporary directory, applies one mutant at a time there, runs
+`python -m pytest -q -x` on that mutant's test files against the copy's `src/`,
+and restores the file.  It prints one verdict per mutant: `killed` when the
+tests fail, `SURVIVED` when they pass, `ERROR` when pytest could not run them
+(or the old text is not found exactly once).  It exits 1 unless every mutant
+selected (all of them by default, or those named) was killed, and 2 for an
+unknown name.
+
+Each engine change adds its own mutants here; a refactor that rewrites a
+mutant's old text updates the entry, which `tests/test_mutants.py` enforces.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CORE = "src/afkit/core.py"
+RESOLUTION = "src/afkit/resolution.py"
+SEMANTICS = "src/afkit/semantics.py"
+DIFFERENTIAL = "tests/test_differential.py"
+
+MUTANTS = (
+    # Kosaraju SCCs and the minimal relevant components
+    Mutant(
+        "flood fill ignores already-placed ids",
+        CORE,
+        "frontier = reach & rest & ~comp",
+        "frontier = reach & universe & ~comp",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "finishing order not reversed",
+        CORE,
+        "for v in reversed(finished):",
+        "for v in finished:",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "predecessor test without & universe",
+        RESOLUTION,
+        "af.in_masks[x] & universe != af.out_masks[x] & c",
+        "af.in_masks[x] != af.out_masks[x] & c",
+        ("tests/test_resolution.py",),
+    ),
+    Mutant(
+        "no tree count",
+        RESOLUTION,
+        "== 2 * (len(ids) - 1):",
+        ">= 0:",
+        ("tests/test_resolution.py",),
+    ),
+    # constructive grd_star
+    Mutant(
+        "grd_star branch drops | g",
+        RESOLUTION,
+        "chosen | g | s))",
+        "chosen | s))",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "grd_star keeps the struck arguments in the next universe",
+        RESOLUTION,
+        "rest & ~(pi | _attacked_mask(af, s))",
+        "rest & ~pi",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "grd_star branches on unstable sets",
+        RESOLUTION,
+        "_search(af, admissible=False, cover=pi, universe=pi)",
+        "_search(af, admissible=False, universe=pi)",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "grd_star records chosen without g",
+        RESOLUTION,
+        "masks.append(chosen | g)",
+        "masks.append(chosen)",
+        (DIFFERENTIAL,),
+    ),
+    # the support rule of _search
+    Mutant(
+        "hostile from the full in_masks",
+        SEMANTICS,
+        "hostile |= inns[p] if track else 0",
+        "hostile |= attackers[ids[p]] if track else 0",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "skip children pushed unchecked",
+        SEMANTICS,
+        "not (track and take) or supported(bit | out, q, chosen, covered, hostile)",
+        "True",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "pinned range dropped without cutting the pins to the universe",
+        SEMANTICS,
+        "forced_in &= universe",
+        "forced_in &= -1",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "near without the taken id's attackers",
+        SEMANTICS,
+        "near = [inns[p] | _attacked_mask(",
+        "near = [_attacked_mask(",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "skip check limited to the skipped id",
+        SEMANTICS,
+        "supported(bit | out, q, chosen, covered, hostile)",
+        "supported(bit, q, chosen, covered, hostile)",
+        (DIFFERENTIAL,),
+    ),
+    # per-component stable decisions
+    Mutant(
+        "no pin check in _has_stable",
+        SEMANTICS,
+        "if forced_in & gatt or forced_out & g:",
+        "if False:",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "no blocked-pin return",
+        SEMANTICS,
+        "if forced_in & blocked:",
+        "if False:",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "first component only",
+        SEMANTICS,
+        "for c in _weak_component_masks(af, af.full_mask & ~(g | gatt))",
+        "for c in _weak_component_masks(af, af.full_mask & ~(g | gatt))[:1]",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "stg checked for admissibility",
+        SEMANTICS,
+        "if sem is not Semantics.STG and mask & ~defended:",
+        "if mask & ~defended:",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "sem range check over cf sets",
+        SEMANTICS,
+        "for m in _search(af, admissible=sem is Semantics.SEM, cover=rng)",
+        "for m in _search(af, admissible=False, cover=rng)",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+)
+
+
+def run(mutant: Mutant, tree: str) -> str:
+    target = os.path.join(tree, mutant.path)
+    with open(target, encoding="utf-8") as handle:
+        original = handle.read()
+    if original.count(mutant.old) != 1:
+        return "ERROR (old text not found exactly once)"
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.write(original.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+    finally:
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(original)
+    # pytest exits 1 when a test failed and 0 when all passed; anything else
+    # (collection error, no tests found) says nothing about the mutant
+    verdicts = {1: "killed", 0: "SURVIVED"}
+    return verdicts.get(proc.returncode, f"ERROR (pytest exit {proc.returncode})")
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tree:
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for part in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(tree, part), ignore=ignore)
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
+        for mutant in chosen:
+            start = time.perf_counter()
+            verdict = run(mutant, tree)
+            failed += verdict != "killed"
+            print(f"{verdict:<9} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

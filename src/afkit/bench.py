@@ -8,8 +8,8 @@ Wall time is measured around the solve call alone — instance generation and
 process startup are excluded.
 
 Engines are either "native" (this package's enumeration, argument cap
-lifted) or "external:<encoding-id>" (the ASP bridge).  When several engines
-are given, trials cycle through them so each engine sees the same seeds.
+lifted) or "external:<encoding-id>" (the ASP bridge).  With k engines, trial
+t runs seed base_seed + t on engine t mod k: the engines split the seeds.
 """
 from __future__ import annotations
 

@@ -73,7 +73,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         af = _load_af(args.input)
     except OSError as exc:
         return _input_error(f"cannot read {args.input}: {exc}")
-    except ApxError as exc:
+    except (ApxError, UnicodeDecodeError) as exc:
         return _input_error(f"{args.input}: {exc}")
 
     semantics = Semantics(args.semantics)
@@ -147,7 +147,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         af = _load_af(args.input)
     except OSError as exc:
         return _input_error(f"cannot read {args.input}: {exc}")
-    except ApxError as exc:
+    except (ApxError, UnicodeDecodeError) as exc:
         return _input_error(f"{args.input}: {exc}")
     if args.instance_only:
         _write_text(emit_instance(af), args.output)

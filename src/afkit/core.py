@@ -2,7 +2,9 @@
 
 An AF is a finite set of arguments plus a binary defeat (attack) relation.
 Arguments get dense integer ids in order of first appearance; argument sets
-are bitmasks wrapped in ArgSet, with id 0 on the least-significant bit.
+are bitmasks wrapped in ArgSet, with id 0 on the least-significant bit.  A
+sub-framework is a universe mask: the grounded fixpoint and the SCCs (two
+bitmask sweeps) run on the attack masks inside it, with nothing rebuilt.
 """
 from __future__ import annotations
 
@@ -328,69 +330,55 @@ class SccPartition:
 
 
 def sccs(af: AF, universe: int | None = None) -> SccPartition:
-    """Tarjan's algorithm, iterative, over the sub-framework on universe
-    (default: every argument); components come out topologically sorted."""
-    n = af.n
-    if universe is None:
-        universe = af.full_mask
-    out = af.out_masks
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    adj: dict[int, list[int]] = {}
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in _ids(universe):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-                adj[v] = _ids(out[v] & universe)
-            succ = adj[v]
-            descended = False
-            for i in range(pi, len(succ)):
-                w = succ[i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    comps.reverse()  # Tarjan emits reverse-topologically
-    comp_of = [-1] * n
+    """SCCs of the sub-framework on universe (default: every argument) in
+    topological order: _scc_masks's components as an SccPartition."""
+    comps = _scc_masks(af, af.full_mask if universe is None else universe)
+    comp_of = [-1] * af.n
     for ci, comp in enumerate(comps):
-        for v in comp:
+        for v in _ids(comp):
             comp_of[v] = ci
     edges = {
-        (comp_of[v], comp_of[w])
-        for v, succ in adj.items()
-        for w in succ
-        if comp_of[v] != comp_of[w]
+        (comp_of[a], comp_of[b])
+        for a, b in af.attacks
+        if comp_of[a] != comp_of[b] and -1 not in (comp_of[a], comp_of[b])
     }
     return SccPartition(
-        components=tuple(ArgSet.from_ids(c, n) for c in comps),
+        components=tuple(ArgSet(c, af.n) for c in comps),
         comp_of=tuple(comp_of),
         order_edges=frozenset(edges),
     )
+
+
+def _scc_masks(af: AF, universe: int) -> list[int]:
+    """Strongly connected components of the sub-framework on universe, in
+    topological order, by Kosaraju's two sweeps (Sharir 1981).  A depth-first
+    pass that always descends into the lowest unvisited target records the
+    finishing order; then, latest finisher first, a flood fill over the
+    attackers within what is not yet placed cuts out each component."""
+    out, inn = af.out_masks, af.in_masks
+    path, seen, finished = [], 0, []
+    while True:  # an empty path stands on a virtual root that targets universe
+        fresh = (out[path[-1]] if path else universe) & universe & ~seen
+        if fresh:
+            low = fresh & -fresh
+            seen |= low
+            path.append(low.bit_length() - 1)
+        elif path:
+            finished.append(path.pop())
+        else:
+            break
+    comps = []
+    rest = universe
+    for v in reversed(finished):
+        if not rest >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            reach = 0
+            for w in _ids(frontier):
+                reach |= inn[w]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps

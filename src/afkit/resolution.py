@@ -6,7 +6,8 @@ extensions taken over all resolutions.  Two independent engines:
 
 * grd_star_naive enumerates every resolution literally (capped at 2^20);
 * verify_grd_star / grd_star use the recursive characterization over minimal
-  relevant components and never materialize a resolution.
+  relevant components and never materialize a resolution; each level tests
+  the remainder's SCCs, in masks, for those components.
 """
 from __future__ import annotations
 
@@ -18,13 +19,15 @@ from .core import (
     ArgSet,
     _attacked_mask,
     _grounded_mask,
+    _ids,
+    _scc_masks,
     is_conflict_free,
-    sccs,
 )
 from .semantics import (
     DEFAULT_SEARCH_CAP,
     ExtensionSet,
     SearchCapError,
+    _check_cap,
     _search,
 )
 
@@ -97,25 +100,21 @@ def minimal_relevant(af: AF, universe: int | None = None) -> list[ArgSet]:
     """Predecessor-free SCCs of the sub-framework on universe (default: every
     argument) whose internal attacks form a symmetric, self-attack-free
     relation with an acyclic undirected collapse (a tree)."""
-    part = sccs(af, universe)
+    if universe is None:
+        universe = af.full_mask
     found = []
-    for idx in part.minimal():
-        comp = part.components[idx]
-        cmask = comp.mask
-        directed_edges = 0
-        ok = True
-        for x in comp:
-            if af.self_loop_mask >> x & 1:
-                ok = False
-                break
-            if af.out_masks[x] & cmask != af.in_masks[x] & cmask:
-                ok = False  # some internal attack lacks its converse
-                break
-            directed_edges += (af.out_masks[x] & cmask).bit_count()
-        # symmetric and strongly connected: tree iff half the directed count
-        # is one less than the node count
-        if ok and directed_edges == 2 * (len(comp) - 1):
-            found.append(comp)
+    for c in _scc_masks(af, universe):
+        if c & af.self_loop_mask:
+            continue
+        ids = _ids(c)
+        # x's attackers in the universe are exactly its targets in c: nothing
+        # outside c attacks c, and the attacks inside c are symmetric
+        if any(af.in_masks[x] & universe != af.out_masks[x] & c for x in ids):
+            continue
+        # symmetric and strongly connected: a tree iff half the directed
+        # count is one less than the node count
+        if sum((af.out_masks[x] & c).bit_count() for x in ids) == 2 * (len(ids) - 1):
+            found.append(ArgSet(c, af.n))
     return found
 
 
@@ -196,10 +195,7 @@ def grd_star(
     grounded part, then one branch per stable set of the minimal relevant
     components, recursing on the remainder that set leaves undecided.
     """
-    if max_args is not None and af.n > max_args:
-        raise SearchCapError(
-            f"{af.n} arguments exceed the enumeration cap of {max_args}"
-        )
+    _check_cap(af, max_args)
     masks = []
     work = [(af.full_mask, 0)]
     while work:

@@ -321,11 +321,14 @@ def enumerate_extensions(
     answering slowly or partially; pass max_args=None to lift the cap.
     """
     sem = Semantics(semantics)
-    if max_args is not None and af.n > max_args:
-        raise SearchCapError(
-            f"{af.n} arguments exceed the enumeration cap of {max_args}"
-        )
+    _check_cap(af, max_args)
     return ExtensionSet(af, _enum_masks(af, sem))
+
+
+def _check_cap(af: AF, max_args: int | None) -> None:
+    """Refuse af when it has more than max_args arguments (None: no cap)."""
+    if max_args is not None and af.n > max_args:
+        raise SearchCapError(f"{af.n} arguments exceed the enumeration cap of {max_args}")
 
 
 def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:

@@ -136,6 +136,16 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin.apx"
+    path.write_bytes(b"arg(a).\narg(\xff).\n")
+    for argv in (("solve", "--semantics", "grd", "--task", "EE"),
+                 ("emit", "--encoding", "adm")):
+        code, _, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 3
+        assert "internal" not in err
+
+
 def test_unknown_argument_name_is_input_error(af6_file, capsys):
     code, _, _ = run_cli(capsys, "solve", "--input", af6_file,
                          "--semantics", "prf", "--task", "CA", "--arg", "zz")

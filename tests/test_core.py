@@ -173,6 +173,7 @@ def _reachability_partition(n, attacks):
 
 def test_sccs_match_reachability_oracle():
     rng = random.Random(42)
+    universe_rng = random.Random(43)
     for _ in range(150):
         n = rng.randint(1, 9)
         attacks = [
@@ -183,15 +184,20 @@ def test_sccs_match_reachability_oracle():
         ]
         names = [f"a{i}" for i in range(n)]
         af = AF(names, [(names[a], names[b]) for a, b in attacks])
-        part = sccs(af)
-        got = {frozenset(c.ids()) for c in part.components}
-        assert got == _reachability_partition(n, set(attacks))
-        # topological component indexing: every cross-component attack goes forward
-        for a, b in af.attacks:
-            ca, cb = part.comp_of[a], part.comp_of[b]
-            assert ca == cb or ca < cb
-        # direct edges are sound
-        for i, j in part.order_edges:
-            assert any(
-                part.comp_of[a] == i and part.comp_of[b] == j for a, b in af.attacks
-            )
+        for universe in (None, universe_rng.getrandbits(n)):
+            inside = {i for i in range(n) if universe is None or universe >> i & 1}
+            sub = {(a, b) for a, b in attacks if a in inside and b in inside}
+            part = sccs(af, universe)
+            got = {frozenset(c.ids()) for c in part.components}
+            assert got == {g for g in _reachability_partition(n, sub) if g <= inside}
+            assert all(part.comp_of[i] == -1 for i in range(n) if i not in inside)
+            assert all(v in part.components[part.comp_of[v]] for v in inside)
+            # topological component indexing: every cross-component attack
+            # goes forward, and the direct edges are exactly those attacks
+            cross = {
+                (part.comp_of[a], part.comp_of[b])
+                for a, b in sub
+                if part.comp_of[a] != part.comp_of[b]
+            }
+            assert all(i < j for i, j in cross)
+            assert part.order_edges == cross

@@ -114,6 +114,61 @@ def test_minimal_relevant_isolated_singleton():
     assert [af.names(c) for c in minimal_relevant(af)] == [("x",)]
 
 
+def _relevant_by_definition(n, attacks, inside):
+    """Mutual-reachability classes inside the universe that no attacker from
+    the rest of the universe reaches, with symmetric, self-attack-free
+    attacks that form a tree (2·(|c|−1) directed attacks)."""
+    attacks = {(a, b) for a, b in attacks if a in inside and b in inside}
+    reach = {v: {v} for v in inside}
+    for v in inside:
+        todo = [v]
+        while todo:
+            x = todo.pop()
+            for a, b in attacks:
+                if a == x and b not in reach[v]:
+                    reach[v].add(b)
+                    todo.append(b)
+    found = set()
+    for v in inside:
+        c = frozenset(w for w in reach[v] if v in reach[w])
+        within = {(a, b) for a, b in attacks if a in c and b in c}
+        if (
+            not any(b in c and a not in c for a, b in attacks)
+            and not any(a == b for a, b in within)
+            and all((b, a) in within for a, b in within)
+            and len(within) == 2 * (len(c) - 1)
+        ):
+            found.add(c)
+    return found
+
+
+def test_minimal_relevant_matches_definition():
+    rng = random.Random(5)
+    qualified = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        attacks = set()
+        for a in range(n):
+            for b in range(a, n):
+                r = rng.random()
+                if a == b:
+                    if r < 0.03:
+                        attacks.add((a, a))
+                elif r < 0.2:
+                    attacks |= {(a, b), (b, a)}
+                elif r < 0.25:
+                    attacks.add((a, b) if rng.random() < 0.5 else (b, a))
+        names = [f"a{i}" for i in range(n)]
+        af = AF(names, [(names[a], names[b]) for a, b in attacks])
+        for universe in (None, rng.getrandbits(n)):
+            inside = {i for i in range(n) if universe is None or universe >> i & 1}
+            got = [frozenset(c.ids()) for c in minimal_relevant(af, universe)]
+            assert len(set(got)) == len(got)
+            assert set(got) == _relevant_by_definition(n, attacks, inside)
+            qualified += sum(len(c) > 1 for c in got)
+    assert qualified > 100
+
+
 def test_mutual_pair_and_cycle_basics():
     pair = AF(["x", "y"], [("x", "y"), ("y", "x")])
     assert name_sets(pair, grd_star(pair)) == {("x",), ("y",)}
