@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from afkit import AF, GenSpec, enumerate_extensions, generate  # noqa: E402
 from afkit.bench import grid_dimensions  # noqa: E402
 
-SEMANTICS = ("com", "stb", "prf", "sem", "stg", "grd_star")
+SEMANTICS = ("cf", "com", "stb", "prf", "sem", "stg", "grd_star")
 RUNS = 3
 LIMIT_S = 10
 

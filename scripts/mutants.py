@@ -169,9 +169,45 @@ MUTANTS = (
     Mutant(
         "sem range check over cf sets",
         SEMANTICS,
-        "for m in _search(af, admissible=sem is Semantics.SEM, cover=rng)",
-        "for m in _search(af, admissible=False, cover=rng)",
+        "covering = _search(af, admissible=sem is Semantics.SEM, cover=rng & c, universe=c)",
+        "covering = _search(af, admissible=False, cover=rng & c, universe=c)",
         ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    # the conflict-free walk, ExtensionSet and per-component verification
+    Mutant(
+        "cf walk takes conflicts from out_masks only",
+        SEMANTICS,
+        "near = [out | inn for out, inn in zip(af.out_masks, af.in_masks)]",
+        "near = list(af.out_masks)",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "cf walk keeps self-attackers as candidates",
+        SEMANTICS,
+        "stack = [(0, universe & ~af.self_loop_mask)]",
+        "stack = [(0, universe)]",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "cf walk takes before it skips",
+        SEMANTICS,
+        "stack.append((chosen | 1 << v, cand & ~near[v]))",
+        "stack.append((chosen, cand))\n            chosen, cand = chosen | 1 << v, cand & ~near[v]",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "ExtensionSet keeps repeated masks",
+        SEMANTICS,
+        "masks = sorted(set(masks))",
+        "pass",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "verify skips the per-component stable check",
+        SEMANTICS,
+        "if any(_search(af, admissible=False, cover=c, universe=c)):",
+        "if False:",
+        (DIFFERENTIAL,),
     ),
 )
 

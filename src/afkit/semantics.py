@@ -11,7 +11,11 @@ later step could take.  Admissibility asks this of the unattacked attackers
 of the chosen set (the must-out rule of Nofal, Atkinson & Dunne, "Algorithms
 for decision problems in argument systems under preferred semantics", AIJ
 2014), and the range condition of stable, semi-stable and stage of the cover
-arguments no later step can take themselves.
+arguments no later step can take themselves.  Unpinned conflict-free sets,
+which need no rule, come from a walk over candidate masks instead: it decides
+the highest candidate left, skipping it before taking it, so every step leads
+to a set and the sets come out in ascending order, which ExtensionSet sorts in
+linear time.
 
 Complete, stable, preferred, semi-stable and stage extensions are built one
 weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
@@ -33,7 +37,10 @@ Only a component without a stable set runs the range-maximal filter, so a
 disjoint odd cycle costs what the cycle costs.  Acceptance and verification
 find stable sets per component of the grounded remainder, as enumeration
 does; sem/stg switch to stb only when the whole framework has a stable
-extension, and otherwise fall back to the range-maximal filters.
+extension, and otherwise fall back to the range-maximal filters.  Verification
+checks range-maximality per weak component: a component the set is stable on
+passes, one with a stable set of its own fails, and only the others are
+walked.
 
 brute_force is the deliberately naive oracle: literal definitions evaluated
 over all subsets with frozenset algebra, sharing no search code with the
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from operator import lt
 from typing import Iterable, Iterator
 
 from .core import (
@@ -78,14 +86,20 @@ class Semantics(str, Enum):
 class ExtensionSet:
     """Extensions of one framework in canonical order (ascending bitmask).
 
-    Holds only the sorted masks; ArgSets are built on iteration.
+    Holds only the sorted masks; ArgSets are built on iteration.  The masks
+    are sorted as given, which takes linear time on the ascending output of
+    the conflict-free walk; only input with a repeat (from the solver or
+    grd_star) is deduplicated.
     """
 
     __slots__ = ("af", "_masks")
 
     def __init__(self, af: AF, masks: Iterable[int]):
         self.af = af
-        self._masks = tuple(sorted(set(masks)))
+        masks = sorted(masks)
+        if not all(map(lt, masks, masks[1:])):
+            masks = sorted(set(masks))
+        self._masks = tuple(masks)
 
     @property
     def extensions(self) -> tuple[ArgSet, ...]:
@@ -214,6 +228,26 @@ def _search(
                 stack.append((q, chosen, covered, hostile))
 
 
+def _cf_masks(af: AF, universe: int) -> Iterator[int]:
+    """Yield the conflict-free subsets of universe as bitmasks, ascending.
+
+    Each stack entry is a chosen set and the candidates still compatible with
+    it.  The walk decides the highest candidate first, skipping it before
+    taking it, so every entry leads to a yield (2L - 1 entries for L sets)
+    and the sets come out in ascending order.
+    """
+    near = [out | inn for out, inn in zip(af.out_masks, af.in_masks)]
+    stack = [(0, universe & ~af.self_loop_mask)]
+    while stack:
+        chosen, cand = stack.pop()
+        # skip each highest candidate in place; its take entry waits on the stack
+        while cand:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            stack.append((chosen | 1 << v, cand & ~near[v]))
+        yield chosen
+
+
 def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
     """Weakly connected components of the sub-framework on universe
     (default: every argument), by lowest id."""
@@ -276,7 +310,9 @@ def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
         stable = list(_search(af, admissible=False, cover=c, universe=c))
     if stable or sem is Semantics.STB:
         return stable
-    return _range_maximal(af, _search(af, admissible=sem is Semantics.SEM, universe=c), c)
+    sets = (_search(af, admissible=True, universe=c) if sem is Semantics.SEM
+            else _cf_masks(af, c))
+    return _range_maximal(af, sets, c)
 
 
 def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
@@ -296,7 +332,7 @@ def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
 
 def _enum_masks(af: AF, sem: Semantics) -> list[int]:
     if sem is Semantics.CF:
-        return list(_search(af, admissible=False))
+        return list(_cf_masks(af, af.full_mask))
     if sem is Semantics.ADM:
         return list(_search(af, admissible=True))
     if sem is Semantics.GRD_STAR:
@@ -363,11 +399,17 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     if sem is Semantics.PRF:
         return all(m == mask for m in _search(af, admissible=True, forced_in=mask))
     if sem in (Semantics.SEM, Semantics.STG):
-        # no admissible (sem) or conflict-free (stg) set has a larger range
-        return all(
-            m | _attacked_mask(af, m) == rng
-            for m in _search(af, admissible=sem is Semantics.SEM, cover=rng)
-        )
+        # no admissible (sem) or conflict-free (stg) set has a larger range;
+        # both kinds of set and their ranges split over the weak components
+        for c in _weak_component_masks(af):
+            if rng & c == c:
+                continue  # s is stable on c
+            if any(_search(af, admissible=False, cover=c, universe=c)):
+                return False  # a stable set of c has a larger range there
+            covering = _search(af, admissible=sem is Semantics.SEM, cover=rng & c, universe=c)
+            if any(m | _attacked_mask(af, m) != rng & c for m in covering):
+                return False
+        return True
     raise ValueError(f"unhandled semantics {sem!r}")
 
 

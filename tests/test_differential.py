@@ -13,8 +13,9 @@ joined with a disjoint 3-cycle.  The sweeps check credulous and skeptical
 acceptance of every argument and verification of every subset for stb, sem
 and stg too.  Call recorders check that the fallback runs on the 3-cycle
 alone when a grid sits beside it, that stage searches a one-component grid's
-grounded remainder piece by piece, as stable does, and that stable decisions
-search the same pieces, or none when the grounded extension already answers.
+grounded remainder piece by piece, as stable does, that stable decisions
+search the same pieces, or none when the grounded extension already answers,
+and that verification walks ranges on the 3-cycle's component alone.
 
 The constructive grd_star against its definition by generate and test, on
 random frameworks with more mutual pairs than grd_star_naive can resolve, and
@@ -27,7 +28,8 @@ The backtracking _search, in yield order, against every subset tested by
 definition and sorted into its take-first order, with random pins, cover and
 universe in both modes, and with the shapes its support rule serves: the
 grounded pins of a stable walk partly outside the universe, and cover bits
-outside it.
+outside it.  The conflict-free walk _cf_masks against _search, sorted: the
+same sets, in ascending order.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ from afkit import (
 )
 from afkit.core import _attacked_mask, _grounded_mask
 from afkit import semantics
-from afkit.semantics import _search, _weak_component_masks
+from afkit.semantics import _cf_masks, _search, _weak_component_masks
 from conftest import plus_three_cycle
 
 NAIVE_PAIRS = 14
@@ -148,6 +150,38 @@ def test_range_maximal_runs_only_on_the_cycle(spec, monkeypatch):
         calls.clear()
         enumerate_extensions(af, sem)
         assert calls == [cycle], sem
+
+
+@pytest.mark.parametrize("spec", [s for s, cycle in NO_STABLE if cycle], ids=_label)
+def test_verify_walks_ranges_only_on_the_cycle(spec, monkeypatch):
+    """verify sem/stg checks range-maximality per weak component: a grid
+    component the set is stable on, or one with a stable set of its own,
+    settles without a range walk, so only the 3-cycle gets one.  A range walk
+    is a _search whose cover is not its whole universe."""
+    af = plus_three_cycle(generate(spec))
+    cycle = 0b111 << (af.n - 3)
+    walks = []
+    search = semantics._search
+
+    def recorder(af_, **kwargs):
+        if kwargs.get("cover") != kwargs.get("universe"):
+            walks.append(kwargs.get("universe"))
+        return search(af_, **kwargs)
+
+    monkeypatch.setattr(semantics, "_search", recorder)
+    for sem in ("sem", "stg"):
+        extensions = brute_force(af, sem)
+        assert extensions, sem
+        for s in extensions:
+            walks.clear()
+            assert verify(af, sem, s), (sem, s)
+            assert walks == [cycle], (sem, s)
+            # less its lowest grid argument, s is not stable on that argument's
+            # component, which has a stable set of its own
+            grid_part = s.mask & ~cycle
+            walks.clear()
+            assert not verify(af, sem, ArgSet(s.mask ^ (grid_part & -grid_part), af.n))
+            assert set(walks) <= {cycle}, (sem, s)
 
 
 def test_stage_splits_a_component_over_its_grounded_remainder(monkeypatch):
@@ -394,6 +428,26 @@ def test_search_matches_definition_in_yield_order():
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 4  # most calls have an order to check
+
+
+def test_cf_masks_match_the_search_in_ascending_order():
+    """The conflict-free walk yields what the unpinned cf search yields, each
+    set once, in ascending order."""
+    rng = random.Random(47)
+    calls = ordered = 0
+    for _ in range(1500):
+        n = rng.randint(0, 12)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.45))
+        # self-attacks included: the walk drops them from the candidates
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+        for universe in (af.full_mask, rng.getrandbits(n)):
+            got = list(_cf_masks(af, universe))
+            expected = sorted(_search(af, admissible=False, universe=universe))
+            assert got == expected, (af.attacks, universe)
+            calls += 1
+            ordered += got != list(_search(af, admissible=False, universe=universe))
+    assert ordered >= calls // 2  # most calls yield in another order than _search
 
 
 def test_search_matches_definition_on_the_support_rule_shapes():
