@@ -8,7 +8,9 @@ extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
 reads `>10 s`.  One process, no workers; the instances are those of ROADMAP:
 `grid N` is `grid_dimensions(N)` with p=0.3 and seed 1, `arb N` is `arbitrary`
 with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, and the last
-row is the 30x40 grid with p=0.  It imports afkit from this checkout's `src/`.
+row is the 30x40 grid with p=0.  Run as a script, it imports afkit from this
+checkout's `src/`; imported (for `grid`, `arb`, `plus_three_cycle`), it leaves
+`sys.path` alone, so the importer times the afkit it put on its own path.
 """
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ import signal
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+if __name__ == "__main__":
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from afkit import AF, GenSpec, enumerate_extensions, generate  # noqa: E402
 from afkit.bench import grid_dimensions  # noqa: E402

@@ -41,8 +41,38 @@ CORE = "src/afkit/core.py"
 RESOLUTION = "src/afkit/resolution.py"
 SEMANTICS = "src/afkit/semantics.py"
 DIFFERENTIAL = "tests/test_differential.py"
+APX = "tests/test_apx.py"
 
 MUTANTS = (
+    # the one-pass APX tokenizer
+    Mutant(
+        "intra-line whitespace may cross line breaks",
+        CORE,
+        r'_WS = r"[^\S\n]*"',
+        r'_WS = r"\s*"',
+        (APX,),
+    ),
+    Mutant(
+        "duplicate arg check dropped",
+        CORE,
+        "if len(seen) != n or not all(map(NAME_RE.match, names)):",
+        "if not all(map(NAME_RE.match, names)):",
+        (APX,),
+    ),
+    Mutant(
+        "error line number off by one",
+        CORE,
+        "enumerate(text.splitlines(), start=1)",
+        "enumerate(text.splitlines(), start=2)",
+        (APX,),
+    ),
+    Mutant(
+        "att no longer accepted",
+        CORE,
+        'rf"|(?:defeat|att){_WS}',
+        'rf"|defeat{_WS}',
+        (APX,),
+    ),
     # Kosaraju SCCs and the minimal relevant components
     Mutant(
         "flood fill ignores already-placed ids",

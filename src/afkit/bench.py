@@ -8,8 +8,8 @@ Wall time is measured around the solve call alone — instance generation and
 process startup are excluded.
 
 Engines are either "native" (this package's enumeration, argument cap
-lifted) or "external:<encoding-id>" (the ASP bridge).  With k engines, trial
-t runs seed base_seed + t on engine t mod k: the engines split the seeds.
+lifted) or "external:<encoding-id>" (the ASP bridge).  Trial t runs seed
+base_seed + t on every engine, so engines are compared on the same instances.
 """
 from __future__ import annotations
 
@@ -233,7 +233,8 @@ def plan_runs(
     neighborhood: str = "orthogonal",
     base_seed: int = 0,
 ) -> list[tuple[GenSpec, str, str]]:
-    """The full cross product of configurations, trials cycling engines."""
+    """The full cross product of configurations, trials and engines: trial t
+    runs seed base_seed + t once on each engine, in the order given."""
     runs = []
     for kind in kinds:
         for size in sizes:
@@ -241,8 +242,8 @@ def plan_runs(
                 for sem in semantics:
                     for trial in range(trials):
                         spec = _spec_for(kind, size, p, neighborhood, base_seed + trial)
-                        engine = engines[trial % len(engines)]
-                        runs.append((spec, Semantics(sem).value, engine))
+                        for engine in engines:
+                            runs.append((spec, Semantics(sem).value, engine))
     return runs
 
 

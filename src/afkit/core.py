@@ -5,14 +5,29 @@ Arguments get dense integer ids in order of first appearance; argument sets
 are bitmasks wrapped in ArgSet, with id 0 on the least-significant bit.  A
 sub-framework is a universe mask: the grounded fixpoint and the SCCs (two
 bitmask sweeps) run on the attack masks inside it, with nothing rebuilt.
+
+APX text is read by one tokenizer pass (parse_apx): a single regex finds every
+fact and captures its names.  Only text it refuses is read again, line by
+line, to report the first error with its line number (_apx_error).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# One APX token: leading whitespace (line breaks too), then an arg fact, a
+# defeat/att fact, a comment, the end of the text, or any other character.
+# Inside a fact only intra-line whitespace may stand, so no fact spans lines.
+_WS = r"[^\S\n]*"
+_NAMED = r"([a-z][a-z0-9_]*)"
+_TOKEN_RE = re.compile(
+    rf"\s*(?:arg{_WS}\({_WS}{_NAMED}{_WS}\){_WS}\."
+    rf"|(?:defeat|att){_WS}\({_WS}{_NAMED}{_WS},{_WS}{_NAMED}{_WS}\){_WS}\."
+    r"|%.*|\Z|(.))"
+)
+# One fact of any predicate and arity, as _apx_error reads a line.
 _FACT_RE = re.compile(r"\s*([a-z][a-z0-9_]*)\s*\(\s*([a-z0-9_,\s]*?)\s*\)\s*\.")
 
 
@@ -26,8 +41,7 @@ class ApxError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     id: int
     name: str
 
@@ -98,6 +112,18 @@ class ArgSet:
         return f"ArgSet({{{','.join(map(str, self.ids()))}}}, n={self.n})"
 
 
+def _reject_names(names: list[str]) -> None:
+    """Raise for the first invalid or repeated argument name, in order."""
+    seen = set()
+    for name in names:
+        if not NAME_RE.match(name):
+            raise ValueError(f"invalid argument name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate argument {name!r}")
+        seen.add(name)
+    raise AssertionError("no invalid or repeated argument name")
+
+
 class AF:
     """Argumentation framework: named arguments plus a defeat relation over ids.
 
@@ -107,31 +133,24 @@ class AF:
 
     def __init__(self, names: Iterable[str], attacks: Iterable[tuple[str, str]]):
         names = list(names)
-        seen: dict[str, int] = {}
-        for name in names:
-            if not NAME_RE.match(name):
-                raise ValueError(f"invalid argument name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate argument {name!r}")
-            seen[name] = len(seen)
-        self.args: tuple[Argument, ...] = tuple(
-            Argument(i, name) for name, i in seen.items()
-        )
-        self.n = len(self.args)
+        n = len(names)
+        seen = dict(zip(names, range(n)))
+        if len(seen) != n or not all(map(NAME_RE.match, names)):
+            _reject_names(names)
+        self.args: tuple[Argument, ...] = tuple(map(Argument._make, enumerate(names)))
+        self.n = n
         self.name_to_id: dict[str, int] = seen
-        self.full_mask = (1 << self.n) - 1
+        self.full_mask = (1 << n) - 1
 
-        pairs = set()
-        for src, dst in attacks:
-            if src not in seen:
-                raise ValueError(f"attack endpoint {src!r} not declared")
-            if dst not in seen:
-                raise ValueError(f"attack endpoint {dst!r} not declared")
-            pairs.add((seen[src], seen[dst]))
-        self.attacks: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
+        try:
+            pairs = [(seen[src], seen[dst]) for src, dst in attacks]
+        except KeyError as missing:
+            raise ValueError(f"attack endpoint {missing.args[0]!r} not declared") from None
+        pairs.sort()  # linear on sorted input, e.g. serialize_apx's
+        self.attacks: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(pairs))
 
-        out = [0] * self.n
-        inn = [0] * self.n
+        out = [0] * n
+        inn = [0] * n
         for a, b in self.attacks:
             out[a] |= 1 << b
             inn[b] |= 1 << a
@@ -174,9 +193,35 @@ def parse_apx(text: str) -> AF:
     """Parse APX text: ``arg(x).`` and ``defeat(x,y).`` facts (``att`` accepted).
 
     ``%`` starts a comment.  Multiple facts per line are fine; facts do not
-    span lines.  Attack endpoints may be declared later in the file.
+    span lines (any ``str.splitlines`` boundary).  Attack endpoints may be
+    declared later in the file.
+
+    Valid text takes one pass: line breaks are normalised to ``\\n`` and one
+    ``findall`` of _TOKEN_RE captures the names of every fact.  Errors come
+    from _apx_error, which classifies the text line by line and never builds
+    an AF.  It runs only when a character is no part of a fact, comment or
+    whitespace, or when AF refuses the names (a duplicate arg fact, an
+    undeclared attack endpoint), and finds the first error and its line.
     """
-    names: list[str] = []
+    text = "\n".join(text.splitlines())
+    names, attacks = [], []
+    for name, src, dst, junk in _TOKEN_RE.findall(text):
+        if name:
+            names.append(name)
+        elif src:
+            attacks.append((src, dst))
+        elif junk:
+            raise _apx_error(text)
+    try:
+        return AF(names, attacks)
+    except ValueError:
+        raise _apx_error(text) from None
+
+
+def _apx_error(text: str) -> ApxError:
+    """The first error of APX text that parse_apx refused, classified line by
+    line: a malformed token, arity or predicate, or a duplicate arg fact, in
+    text order; then the first attack that names an undeclared endpoint."""
     declared: set[str] = set()
     attacks: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -188,30 +233,29 @@ def parse_apx(text: str) -> AF:
             m = _FACT_RE.match(line, pos)
             if not m:
                 snippet = line[pos:].strip()[:30]
-                raise ApxError(f"malformed token near {snippet!r}", lineno)
+                return ApxError(f"malformed token near {snippet!r}", lineno)
             pred, argstr = m.group(1), m.group(2)
             terms = [t.strip() for t in argstr.split(",")] if argstr.strip() else []
             if any(not NAME_RE.match(t) for t in terms):
-                raise ApxError(f"malformed token in {pred} fact", lineno)
+                return ApxError(f"malformed token in {pred} fact", lineno)
             if pred == "arg":
                 if len(terms) != 1:
-                    raise ApxError("arg/1 takes exactly one argument", lineno)
+                    return ApxError("arg/1 takes exactly one argument", lineno)
                 if terms[0] in declared:
-                    raise ApxError(f"duplicate arg fact for {terms[0]!r}", lineno)
+                    return ApxError(f"duplicate arg fact for {terms[0]!r}", lineno)
                 declared.add(terms[0])
-                names.append(terms[0])
             elif pred in ("defeat", "att"):
                 if len(terms) != 2:
-                    raise ApxError(f"{pred}/2 takes exactly two arguments", lineno)
+                    return ApxError(f"{pred}/2 takes exactly two arguments", lineno)
                 attacks.append((terms[0], terms[1], lineno))
             else:
-                raise ApxError(f"unexpected predicate {pred!r}", lineno)
+                return ApxError(f"unexpected predicate {pred!r}", lineno)
             pos = m.end()
     for src, dst, lineno in attacks:
         for endpoint in (src, dst):
             if endpoint not in declared:
-                raise ApxError(f"attack endpoint {endpoint!r} not declared", lineno)
-    return AF(names, [(s, d) for s, d, _ in attacks])
+                return ApxError(f"attack endpoint {endpoint!r} not declared", lineno)
+    raise AssertionError("parse_apx refused APX text that has no error")
 
 
 def serialize_apx(af: AF) -> str:

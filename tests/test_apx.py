@@ -85,6 +85,108 @@ def test_error_message_carries_line_number():
         parse_apx("arg(a).\n???")
 
 
+# Every boundary str.splitlines knows, "\r\n" counted once.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Whitespace that is not a line break, so it may stand inside a fact.
+INTRA_LINE_WS = [" ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
+
+
+def _raises(text: str) -> tuple[int | None, str]:
+    with pytest.raises(ApxError) as exc:
+        parse_apx(text)
+    return exc.value.line, str(exc.value)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+def test_each_separator_breaks_lines(sep):
+    af = parse_apx(f"arg(a).{sep}arg(b).{sep}defeat(a,b).{sep}")
+    assert af == AF(["a", "b"], [("a", "b")])
+    assert _raises(f"arg(a).{sep}arg(b).{sep}arg(a).") == (
+        3, "line 3: duplicate arg fact for 'a'"
+    )
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+def test_no_fact_spans_a_separator(sep):
+    assert _raises(f"arg(a).{sep}arg({sep}b).") == (2, "line 2: malformed token near 'arg('")
+    assert _raises(f"arg(a).{sep}defeat(a,{sep}a).") == (
+        2, "line 2: malformed token near 'defeat(a,'"
+    )
+    assert _raises(f"arg(a){sep}.") == (1, "line 1: malformed token near 'arg(a)'")
+
+
+@pytest.mark.parametrize("ws", INTRA_LINE_WS, ids=repr)
+def test_whitespace_inside_a_fact(ws):
+    text = f"arg{ws}({ws}a{ws}){ws}.{ws}arg(b).\natt({ws}b{ws},{ws}a{ws}){ws}.{ws}"
+    assert parse_apx(text) == AF(["a", "b"], [("b", "a")])
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        # whitespace inside facts, the error on a later line
+        ("arg ( a ) .\natt( b , a ).", 2, "attack endpoint 'b' not declared"),
+        ("arg ( a ) .\narg( b ).\natt( b , a ).\nfoo(a).", 4, "unexpected predicate 'foo'"),
+        # several facts on one line
+        ("arg(a). arg(b).\narg(c). arg(b).", 2, "duplicate arg fact for 'b'"),
+        ("arg(a).\narg(b).\ndefeat(a,b) defeat(b,a).", 3,
+         "malformed token near 'defeat(a,b) defeat(b,a).'"),
+        # % cuts a fact
+        ("arg(a%).", 1, "malformed token near 'arg(a'"),
+        ("arg(a). arg(b%).", 1, "malformed token near 'arg(b'"),
+        ("arg(a).\t%x\x0barg(a).", 2, "duplicate arg fact for 'a'"),
+        # arity
+        ("arg().", 1, "arg/1 takes exactly one argument"),
+        ("att(a,b,c).", 1, "att/2 takes exactly two arguments"),
+        ("arg(a).\ndefeat(a\xa0,\u3000a).\narg(b,).", 3, "malformed token in arg fact"),
+        ("arg(a).\narg(b)..", 2, "malformed token near '.'"),
+        # a duplicate arg is reported at its second line
+        ("arg(a).\narg(b).\n\narg(a).", 4, "duplicate arg fact for 'a'"),
+        ("arg(a).\ndefeat(a,zz).\narg(a).", 3, "duplicate arg fact for 'a'"),
+        # ... ahead of any undeclared endpoint
+        ("arg(a).\narg(a).\ndefeat(a,zz).", 2, "duplicate arg fact for 'a'"),
+        # an undeclared endpoint at the first attack that names it
+        ("arg(a).\narg(b).\ndefeat(a,b).\ndefeat(b,zz).\ndefeat(zz,a).", 4,
+         "attack endpoint 'zz' not declared"),
+        ("defeat(a,zz).\narg(a).\ndefeat(zz,a).", 1, "attack endpoint 'zz' not declared"),
+        ("arg(a).\ndefeat(yy,zz).", 2, "attack endpoint 'yy' not declared"),
+    ],
+)
+def test_error_line_and_message(text, line, message):
+    assert _raises(text) == (line, f"line {line}: {message}")
+
+
+@st.composite
+def rendered_afs(draw):
+    """A random AF and APX text for it, with random intra-line whitespace
+    inside and between facts, comments, facts per line and line separators."""
+    names = draw(names_st)
+    attacks = draw(
+        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=15)
+        if names else st.just([])
+    )
+    ws = st.text(st.sampled_from(INTRA_LINE_WS), max_size=2)
+    facts = [("arg", (x,)) for x in names]
+    for src, dst in attacks:  # an attack may come before its endpoints' arg facts
+        facts.insert(draw(st.integers(0, len(facts))), (draw(st.sampled_from(["defeat", "att"])), (src, dst)))
+    text = draw(ws)
+    for pred, terms in facts:
+        inner = ",".join(f"{draw(ws)}{t}{draw(ws)}" for t in terms)
+        text += f"{pred}{draw(ws)}({inner}){draw(ws)}."
+        if draw(st.booleans()):  # end the line, perhaps after a comment
+            if draw(st.booleans()):
+                text += "% " + draw(st.sampled_from(["", "arg(zz).", "junk (", "%"]))
+            text += draw(st.sampled_from(SEPARATORS))
+        text += draw(ws)
+    return AF(names, attacks), text
+
+
+@given(rendered_afs())
+def test_parse_rendered_af(case):
+    af, text = case
+    assert parse_apx(text) == af
+
+
 names_st = st.lists(
     st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
     min_size=0,

@@ -113,12 +113,13 @@ def test_plan_covers_cross_product_and_cycles_engines():
         trials=4,
         base_seed=100,
     )
-    assert len(runs) == 2 * 4
+    assert len(runs) == 2 * 4 * 2
     grd_runs = [r for r in runs if r[1] == "grd"]
-    assert [engine for _, _, engine in grd_runs] == [
-        "native", "external:cf", "native", "external:cf",
-    ]
-    assert [spec.seed for spec, _, _ in grd_runs] == [100, 101, 102, 103]
+    assert [engine for _, _, engine in grd_runs] == ["native", "external:cf"] * 4
+    assert [spec.seed for spec, _, _ in grd_runs] == [100, 100, 101, 101, 102, 102, 103, 103]
+    # paired: both engines see the very same instances
+    for (spec_a, _, _), (spec_b, _, _) in zip(grd_runs[::2], grd_runs[1::2]):
+        assert spec_a == spec_b
 
 
 def test_plan_grid_sizes_become_rows_and_cols():

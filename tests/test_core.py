@@ -63,6 +63,37 @@ def test_af_construction_guards():
         AF(["A"], [])
 
 
+@pytest.mark.parametrize(
+    "names,attacks,message",
+    [
+        (["a", "a", "B"], [], "duplicate argument 'a'"),
+        (["a", "B", "a"], [], "invalid argument name 'B'"),
+        (["a", ""], [], "invalid argument name ''"),
+        (["a"], [("a", "a"), ("x", "y")], "attack endpoint 'x' not declared"),
+        (["a"], [("a", "y"), ("x", "a")], "attack endpoint 'y' not declared"),
+    ],
+)
+def test_af_reports_the_first_bad_name_in_order(names, attacks, message):
+    with pytest.raises(ValueError) as exc:
+        AF(names, attacks)
+    assert str(exc.value) == message
+
+
+def test_af_relation_from_any_attack_order():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        names = [f"a{i}" for i in range(n)]
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 30))]
+        af = AF(names, [(names[a], names[b]) for a, b in pairs])
+        assert af.attacks == tuple(sorted(set(pairs)))
+        assert [a.name for a in af.args] == names and [a.id for a in af.args] == list(range(n))
+        for v in range(n):
+            assert af.out_masks[v] == sum({1 << b for a, b in pairs if a == v})
+            assert af.in_masks[v] == sum({1 << a for a, b in pairs if b == v})
+        assert af.self_loop_mask == sum({1 << a for a, b in pairs if a == b})
+
+
 def test_af_accessors(af6):
     assert af6.n == 6
     assert af6.names(af6.full_mask) == ("a", "b", "c", "d", "e", "f")
