@@ -7,10 +7,12 @@ Each cell is the minimum wall time of 3 in-process
 extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
 reads `>10 s`.  One process, no workers; the instances are those of ROADMAP:
 `grid N` is `grid_dimensions(N)` with p=0.3 and seed 1, `arb N` is `arbitrary`
-with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, and the last
-row is the 30x40 grid with p=0.  Run as a script, it imports afkit from this
-checkout's `src/`; imported (for `grid`, `arb`, `plus_three_cycle`), it leaves
-`sys.path` alone, so the importer times the afkit it put on its own path.
+with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, the 30x40 grid
+has p=0, and `16 free + 60-clique` puts 16 unattacked arguments below a
+60-clique that attacks all of them.  Run as a script, it imports afkit from
+this checkout's `src/`; imported (for `grid`, `arb`, `plus_three_cycle`,
+`free_below_clique`), it leaves `sys.path` alone, so the importer times the
+afkit it put on its own path.
 """
 from __future__ import annotations
 
@@ -48,6 +50,17 @@ def arb(size: int) -> AF:
     return generate(GenSpec(kind="arbitrary", n=size, p=0.15, seed=1))
 
 
+def free_below_clique(free: int = 16, clique: int = 60) -> AF:
+    """free unattacked arguments, then a clique of mutual attackers that
+    attack every one of them: the conflict-free build's worst case, where it
+    skips each block but the empty set's for every clique argument."""
+    low = [f"f{i}" for i in range(free)]
+    high = [f"c{i}" for i in range(clique)]
+    attacks = [(x, y) for x in high for y in high if x != y]
+    attacks += [(x, y) for x in high for y in low]
+    return AF(low + high, attacks)
+
+
 def plus_three_cycle(af: AF) -> AF:
     names = [a.name for a in af.args]
     cycle = ["z0", "z1", "z2"]
@@ -62,6 +75,7 @@ INSTANCES = (
     ("arb 60", lambda: arb(60)),
     ("grid 30 + 3-cycle", lambda: plus_three_cycle(grid(30))),
     ("30×40 grid, p=0", lambda: grid(1200, p=0.0)),
+    ("16 free + 60-clique", free_below_clique),
 )
 
 

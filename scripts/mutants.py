@@ -203,26 +203,33 @@ MUTANTS = (
         "covering = _search(af, admissible=False, cover=rng & c, universe=c)",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
-    # the conflict-free walk, ExtensionSet and per-component verification
+    # the conflict-free build, ExtensionSet and per-component verification
     Mutant(
-        "cf walk takes conflicts from out_masks only",
+        "cf build takes conflicts from out_masks only",
         SEMANTICS,
-        "near = [out | inn for out, inn in zip(af.out_masks, af.in_masks)]",
-        "near = list(af.out_masks)",
+        "near, bit = af.out_masks[v] | af.in_masks[v], 1 << v",
+        "near, bit = af.out_masks[v], 1 << v",
         (DIFFERENTIAL,),
     ),
     Mutant(
-        "cf walk keeps self-attackers as candidates",
+        "cf build keeps self-attackers among the ids",
         SEMANTICS,
-        "stack = [(0, universe & ~af.self_loop_mask)]",
-        "stack = [(0, universe)]",
+        "for v in _ids(universe & ~af.self_loop_mask):",
+        "for v in _ids(universe):",
         (DIFFERENTIAL,),
     ),
     Mutant(
-        "cf walk takes before it skips",
+        "cf build tests only the block's top id",
         SEMANTICS,
-        "stack.append((chosen | 1 << v, cand & ~near[v]))",
-        "stack.append((chosen, cand))\n            chosen, cand = chosen | 1 << v, cand & ~near[v]",
+        "for x in block if not x & near]",
+        "for x in block]",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "cf build skips the blocks it should keep",
+        SEMANTICS,
+        "for top, block in blocks if not top & near",
+        "for top, block in blocks if top & near",
         (DIFFERENTIAL,),
     ),
     Mutant(

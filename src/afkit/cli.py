@@ -8,6 +8,7 @@ errors (an unexpected exception, never reported as an answer).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -211,7 +212,10 @@ def cmd_bench_summarize(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The afkit parser, built once per process: parse_args keeps no state in
+    it, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="afkit",
         description="Abstract argumentation toolkit: solve, generate, emit, bench.",

@@ -12,10 +12,10 @@ of the chosen set (the must-out rule of Nofal, Atkinson & Dunne, "Algorithms
 for decision problems in argument systems under preferred semantics", AIJ
 2014), and the range condition of stable, semi-stable and stage of the cover
 arguments no later step can take themselves.  Unpinned conflict-free sets,
-which need no rule, come from a walk over candidate masks instead: it decides
-the highest candidate left, skipping it before taking it, so every step leads
-to a set and the sets come out in ascending order, which ExtensionSet sorts in
-linear time.
+which need no rule, are built bottom-up instead, id by id from the lowest:
+each id joins every earlier set it does not conflict with, skipping whole the
+sets whose highest id it conflicts with, and the sets come out in ascending
+order, which ExtensionSet sorts in linear time.
 
 Complete, stable, preferred, semi-stable and stage extensions are built one
 weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from itertools import chain
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -88,7 +89,7 @@ class ExtensionSet:
 
     Holds only the sorted masks; ArgSets are built on iteration.  The masks
     are sorted as given, which takes linear time on the ascending output of
-    the conflict-free walk; only input with a repeat (from the solver or
+    the conflict-free build; only input with a repeat (from the solver or
     grd_star) is deduplicated.
     """
 
@@ -228,24 +229,19 @@ def _search(
                 stack.append((q, chosen, covered, hostile))
 
 
-def _cf_masks(af: AF, universe: int) -> Iterator[int]:
-    """Yield the conflict-free subsets of universe as bitmasks, ascending.
+def _cf_masks(af: AF, universe: int) -> list[int]:
+    """The conflict-free subsets of universe as bitmasks, ascending.
 
-    Each stack entry is a chosen set and the candidates still compatible with
-    it.  The walk decides the highest candidate first, skipping it before
-    taking it, so every entry leads to a yield (2L - 1 entries for L sets)
-    and the sets come out in ascending order.
+    Built id by id from the lowest: block v holds the sets whose highest id is
+    v, each an earlier set that does not conflict with v, plus v.  A block
+    whose top id conflicts with v is skipped whole, as all its sets hold it.
     """
-    near = [out | inn for out, inn in zip(af.out_masks, af.in_masks)]
-    stack = [(0, universe & ~af.self_loop_mask)]
-    while stack:
-        chosen, cand = stack.pop()
-        # skip each highest candidate in place; its take entry waits on the stack
-        while cand:
-            v = cand.bit_length() - 1
-            cand ^= 1 << v
-            stack.append((chosen | 1 << v, cand & ~near[v]))
-        yield chosen
+    blocks = [(0, [0])]
+    for v in _ids(universe & ~af.self_loop_mask):
+        near, bit = af.out_masks[v] | af.in_masks[v], 1 << v
+        blocks.append((bit, [x | bit for top, block in blocks if not top & near
+                             for x in block if not x & near]))
+    return list(chain.from_iterable(block for _, block in blocks))
 
 
 def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
@@ -332,7 +328,7 @@ def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
 
 def _enum_masks(af: AF, sem: Semantics) -> list[int]:
     if sem is Semantics.CF:
-        return list(_cf_masks(af, af.full_mask))
+        return _cf_masks(af, af.full_mask)
     if sem is Semantics.ADM:
         return list(_search(af, admissible=True))
     if sem is Semantics.GRD_STAR:

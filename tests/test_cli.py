@@ -10,7 +10,7 @@ import pytest
 
 import afkit
 from afkit.bench import read_csv
-from afkit.cli import main
+from afkit.cli import build_parser, main
 from afkit.core import parse_apx, serialize_apx
 from afkit.semantics import verify
 
@@ -327,6 +327,35 @@ def test_bench_summarize_missing_file(capsys):
 
 
 # ---------------------------------------------------------------- plumbing
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"],
+                                  ["solve", "--task", "XX"]],
+                         ids=["help", "solve-help", "usage-error"])
+def test_shared_parser_prints_what_a_fresh_one_prints(argv, af6_file, capsys):
+    # main builds its parser once; after other calls have used it, help and
+    # usage errors must read byte for byte as from a newly built parser
+    assert build_parser() is build_parser()
+    run_cli(capsys, "solve", "--input", af6_file, "--semantics", "grd",
+            "--task", "CA", "--arg", "a")
+    shared = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(argv)
+    captured = capsys.readouterr()
+    assert shared == (exc.value.code, captured.out, captured.err)
+    assert shared[1 if argv[-1] == "--help" else 2].startswith("usage: afkit")
+
+
+def test_consecutive_calls_share_no_state(af6_file, capsys):
+    solve = ("solve", "--input", af6_file, "--semantics", "stb")
+    assert run_cli(capsys, *solve, "--task", "EE", "--format", "count")[:2] == (0, "2\n")
+    assert run_cli(capsys, *solve, "--task", "EE")[:2] == (0, "a,c,f\na,d,f\n")
+    assert run_cli(capsys, *solve, "--task", "CA", "--arg", "a")[:2] == (0, "YES\n")
+    code, _, err = run_cli(capsys, *solve, "--task", "CA")
+    assert code == 2 and "--arg" in err
+    assert run_cli(capsys, "gen", "--kind", "grid", "--n", "1", "--m", "2",
+                   "--p", "0")[:2] == (
+        0, "arg(a1_1).\narg(a1_2).\ndefeat(a1_1,a1_2).\n")
 
 
 def test_module_entrypoint_help():

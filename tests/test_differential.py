@@ -28,8 +28,8 @@ The backtracking _search, in yield order, against every subset tested by
 definition and sorted into its take-first order, with random pins, cover and
 universe in both modes, and with the shapes its support rule serves: the
 grounded pins of a stable walk partly outside the universe, and cover bits
-outside it.  The conflict-free walk _cf_masks against _search, sorted: the
-same sets, in ascending order.
+outside it.  The conflict-free build _cf_masks against _search, sorted: the
+same sets, in ascending order, also where it skips whole blocks of sets.
 """
 from __future__ import annotations
 
@@ -448,6 +448,44 @@ def test_cf_masks_match_the_search_in_ascending_order():
             calls += 1
             ordered += got != list(_search(af, admissible=False, universe=universe))
     assert ordered >= calls // 2  # most calls yield in another order than _search
+
+
+def _free_below_attackers(rng: random.Random) -> AF:
+    """k unattacked ids below a clique or a chain of later ids that attack
+    some or all of them, with a few self-attacks: the shape where _cf_masks
+    skips whole blocks, those whose top id conflicts with the id added."""
+    k = rng.randint(0, 7)
+    names = [f"a{i}" for i in range(k + rng.randint(1, 12 - k))]
+    free, later = names[:k], names[k:]
+    if rng.random() < 0.5:
+        attacks = [(x, y) for x in later for y in later if x != y]
+    else:
+        links = list(zip(later, later[1:]))
+        attacks = [rng.choice(((x, y), (y, x))) for x, y in links]
+        attacks += [(y, x) for x, y in links if rng.random() < 0.3]
+    q = rng.choice((0.3, 1.0))
+    attacks += [(x, f) for x in later for f in free if rng.random() < q]
+    attacks += [(x, x) for x in names if rng.random() < 0.1]
+    return AF(names, attacks)
+
+
+def test_cf_masks_match_the_search_where_blocks_are_skipped():
+    rng = random.Random(53)
+    skipped = 0
+    for _ in range(300):
+        af = _free_below_attackers(rng)
+        for universe in (af.full_mask, rng.getrandbits(af.n)):
+            got = _cf_masks(af, universe)
+            assert got == sorted(set(got)), (af.attacks, universe)
+            assert got == sorted(_search(af, admissible=False, universe=universe)), (
+                af.attacks, universe)
+            # some id conflicts with a lower id that tops a block of its own
+            ids = [i for i in range(af.n) if (universe & ~af.self_loop_mask) >> i & 1]
+            skipped += any(
+                (af.out_masks[v] | af.in_masks[v]) >> u & 1 for u in ids for v in ids if u < v
+            )
+        assert enumerate_extensions(af, "cf") == brute_force(af, "cf"), af.attacks
+    assert skipped >= 400
 
 
 def test_search_matches_definition_on_the_support_rule_shapes():
