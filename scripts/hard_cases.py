@@ -52,8 +52,9 @@ def arb(size: int) -> AF:
 
 def free_below_clique(free: int = 16, clique: int = 60) -> AF:
     """free unattacked arguments, then a clique of mutual attackers that
-    attack every one of them: the conflict-free build's worst case, where it
-    skips each block but the empty set's for every clique argument."""
+    attack every one of them.  The conflict-free build leans on its block
+    skip here: each clique argument skips every block but the empty set's,
+    where a build without the skip would test every earlier set."""
     low = [f"f{i}" for i in range(free)]
     high = [f"c{i}" for i in range(clique)]
     attacks = [(x, y) for x in high for y in high if x != y]
