@@ -1,8 +1,16 @@
-"""Print ROADMAP's hard-cases table: enumeration time per instance and semantics.
+"""Print ROADMAP's ingest and hard-cases tables.
 
     python3 scripts/hard_cases.py
 
-Each cell is the minimum wall time of 3 in-process
+The ingest table comes first.  Its rows are the `ingest` benchmark's four
+instance shapes, built with `generators` (grid 1200 is `grid_dimensions(1200)`,
+30x40): per instance, the minimum wall time of 5 in-process `parse_apx` calls
+on its APX text (tokenizer and AF build), of 5 `_grounded_mask` calls on the
+whole framework and of 5 `serialize_apx` calls, then the gen-0/1/2
+collections of CPython's cyclic garbage collector that one `parse_apx` call
+triggers (from `gc.get_stats()`, after a `gc.collect()`).
+
+In the hard-cases table, each cell is the minimum wall time of 3 in-process
 `enumerate_extensions(af, sem, max_args=None)` calls, followed by the number of
 extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
 reads `>10 s`.  One process, no workers; the instances are those of ROADMAP:
@@ -16,6 +24,7 @@ afkit it put on its own path.
 """
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import sys
@@ -27,9 +36,11 @@ if __name__ == "__main__":
 
 from afkit import AF, GenSpec, enumerate_extensions, generate  # noqa: E402
 from afkit.bench import grid_dimensions  # noqa: E402
+from afkit.core import _grounded_mask, parse_apx, serialize_apx  # noqa: E402
 
 SEMANTICS = ("cf", "com", "stb", "prf", "sem", "stg", "grd_star")
 RUNS = 3
+INGEST_RUNS = 5
 LIMIT_S = 10
 
 
@@ -70,6 +81,13 @@ def plus_three_cycle(af: AF) -> AF:
     return AF(names + cycle, attacks)
 
 
+INGEST_INSTANCES = (
+    ("grid 1200, p=0.3", lambda: grid(1200)),
+    ("grid 1200, p=0", lambda: grid(1200, p=0.0)),
+    ("arb 1000, p=0.002", lambda: generate(GenSpec(kind="arbitrary", n=1000, p=0.002, seed=1))),
+    ("arb 2000, p=0.001", lambda: generate(GenSpec(kind="arbitrary", n=2000, p=0.001, seed=1))),
+)
+
 INSTANCES = (
     ("grid 30", lambda: grid(30)),
     ("grid 60", lambda: grid(60)),
@@ -102,7 +120,43 @@ def cell(af: AF, sem: str) -> str:
     return f"{_ms(best)} ({count:,})"
 
 
+def best_of(call, runs: int = INGEST_RUNS) -> float:
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def collections_per_parse(text: str) -> str:
+    gc.collect()
+    before = [gen["collections"] for gen in gc.get_stats()]
+    parse_apx(text)
+    after = [gen["collections"] for gen in gc.get_stats()]
+    return "/".join(str(b - a) for a, b in zip(before, after))
+
+
+def ingest_table() -> None:
+    print("| instance | args | attacks | parse_apx | _grounded_mask | serialize_apx | gc gen 0/1/2 per parse |")
+    print("|---" * 7 + "|")
+    for label, build in INGEST_INSTANCES:
+        af = build()
+        text = serialize_apx(af)
+        out, inn = af.out_masks, af.in_masks
+        times = [
+            best_of(lambda: parse_apx(text)),
+            best_of(lambda: _grounded_mask(out, inn)),
+            best_of(lambda: serialize_apx(af)),
+        ]
+        edges = sum(map(int.bit_count, out))
+        print(f"| {label} | {af.n:,} | {edges:,} | " + " | ".join(map(_ms, times))
+              + f" | {collections_per_parse(text)} |", flush=True)
+
+
 def main() -> None:
+    ingest_table()
+    print()
     signal.signal(signal.SIGALRM, _alarm)
     print("| instance | " + " | ".join(SEMANTICS) + " |")
     print("|---" * (len(SEMANTICS) + 1) + "|")

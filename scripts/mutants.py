@@ -42,6 +42,7 @@ RESOLUTION = "src/afkit/resolution.py"
 SEMANTICS = "src/afkit/semantics.py"
 DIFFERENTIAL = "tests/test_differential.py"
 APX = "tests/test_apx.py"
+CORE_TESTS = "tests/test_core.py"
 
 MUTANTS = (
     # the one-pass APX tokenizer
@@ -73,20 +74,64 @@ MUTANTS = (
         'rf"|defeat{_WS}',
         (APX,),
     ),
+    # the split columns, the mask-only AF and its derived views
+    Mutant(
+        "attack columns swapped",
+        CORE,
+        "zip(filter(None, parts[2::5]), filter(None, parts[3::5]))",
+        "zip(filter(None, parts[3::5]), filter(None, parts[2::5]))",
+        (APX,),
+    ),
+    Mutant(
+        "attacks view derived from in_masks",
+        CORE,
+        "for a, targets in enumerate(self.out_masks) for b in _ids(targets)",
+        "for a, targets in enumerate(self.in_masks) for b in _ids(targets)",
+        (CORE_TESTS,),
+    ),
+    Mutant(
+        "serialized attacks left in walk order",
+        CORE,
+        "lines += reversed(defeats)",
+        "lines += defeats",
+        (APX,),
+    ),
+    # the worklist grounded fixpoint
+    Mutant(
+        "grounded start ignores the universe",
+        CORE,
+        "if not inn[i] & universe:",
+        "if not inn[i]:",
+        (CORE_TESTS,),
+    ),
+    Mutant(
+        "grounded candidates from the new members' targets",
+        CORE,
+        "for d in _ids(defeated):",
+        "for d in _ids(fresh):",
+        (CORE_TESTS,),
+    ),
+    Mutant(
+        "grounded open set taken before covered grows",
+        CORE,
+        "covered |= defeated\n        open_ = universe & ~covered",
+        "open_ = universe & ~covered\n        covered |= defeated",
+        (CORE_TESTS,),
+    ),
     # Kosaraju SCCs and the minimal relevant components
     Mutant(
         "flood fill ignores already-placed ids",
         CORE,
         "frontier = reach & rest & ~comp",
         "frontier = reach & universe & ~comp",
-        ("tests/test_core.py",),
+        (CORE_TESTS,),
     ),
     Mutant(
         "finishing order not reversed",
         CORE,
         "for v in reversed(finished):",
         "for v in finished:",
-        ("tests/test_core.py",),
+        (CORE_TESTS,),
     ),
     Mutant(
         "predecessor test without & universe",

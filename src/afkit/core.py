@@ -6,15 +6,19 @@ are bitmasks wrapped in ArgSet, with id 0 on the least-significant bit.  A
 sub-framework is a universe mask: the grounded fixpoint and the SCCs (two
 bitmask sweeps) run on the attack masks inside it, with nothing rebuilt.
 
-APX text is read by one tokenizer pass (parse_apx): a single regex finds every
-fact and captures its names.  Only text it refuses is read again, line by
-line, to report the first error with its line number (_apx_error).
+APX text is read by one tokenizer pass (parse_apx): a single regex splits the
+text into one flat list of strings, whose columns hold the names of every
+fact.  Only text it refuses is read again, line by line, to report the first
+error with its line number (_apx_error).  Ingest keeps no object per fact or
+per argument: an AF holds its names as one tuple and its relation as attack
+masks, and derives its args and attacks tuples on first use.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 # One APX token: leading whitespace (line breaks too), then an arg fact, a
@@ -112,7 +116,7 @@ class ArgSet:
         return f"ArgSet({{{','.join(map(str, self.ids()))}}}, n={self.n})"
 
 
-def _reject_names(names: list[str]) -> None:
+def _reject_names(names: Sequence[str]) -> None:
     """Raise for the first invalid or repeated argument name, in order."""
     seen = set()
     for name in names:
@@ -128,39 +132,51 @@ class AF:
     """Argumentation framework: named arguments plus a defeat relation over ids.
 
     Immutable by convention after construction.  out_masks[a] holds the
-    targets of argument a as a bitmask, in_masks[a] its attackers.
+    targets of argument a as a bitmask, in_masks[a] its attackers; both are
+    filled in one loop over the attacks, so repeated attacks collapse.  The
+    args and attacks tuples are views derived on first use, so building an AF
+    allocates no object per argument or per attack.
     """
 
     def __init__(self, names: Iterable[str], attacks: Iterable[tuple[str, str]]):
-        names = list(names)
+        names = tuple(names)
         n = len(names)
         seen = dict(zip(names, range(n)))
         if len(seen) != n or not all(map(NAME_RE.match, names)):
             _reject_names(names)
-        self.args: tuple[Argument, ...] = tuple(map(Argument._make, enumerate(names)))
+        self._names = names
         self.n = n
         self.name_to_id: dict[str, int] = seen
         self.full_mask = (1 << n) - 1
 
-        try:
-            pairs = [(seen[src], seen[dst]) for src, dst in attacks]
-        except KeyError as missing:
-            raise ValueError(f"attack endpoint {missing.args[0]!r} not declared") from None
-        pairs.sort()  # linear on sorted input, e.g. serialize_apx's
-        self.attacks: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(pairs))
-
         out = [0] * n
         inn = [0] * n
-        for a, b in self.attacks:
-            out[a] |= 1 << b
-            inn[b] |= 1 << a
+        loops = 0
+        try:
+            for src, dst in attacks:
+                a, b = seen[src], seen[dst]
+                out[a] |= 1 << b
+                inn[b] |= 1 << a
+                if a == b:
+                    loops |= 1 << a
+        except KeyError as missing:
+            raise ValueError(f"attack endpoint {missing.args[0]!r} not declared") from None
         self.out_masks: tuple[int, ...] = tuple(out)
         self.in_masks: tuple[int, ...] = tuple(inn)
-        self.self_loop_mask = sum(1 << a for a, b in self.attacks if a == b)
+        self.self_loop_mask = loops
+
+    @cached_property
+    def args(self) -> tuple[Argument, ...]:
+        return tuple(map(Argument._make, enumerate(self._names)))
+
+    @cached_property
+    def attacks(self) -> tuple[tuple[int, int], ...]:
+        """Every attack once as an id pair, in (src, dst) order."""
+        return tuple((a, b) for a, targets in enumerate(self.out_masks) for b in _ids(targets))
 
     def names(self, s: ArgSet | int) -> tuple[str, ...]:
         mask = s.mask if isinstance(s, ArgSet) else s
-        return tuple(self.args[i].name for i in _ids(mask))
+        return tuple(map(self._names.__getitem__, _ids(mask)))
 
     def argset(self, names: Iterable[str] = ()) -> ArgSet:
         return ArgSet.from_ids((self.arg_id(x) for x in names), self.n)
@@ -181,12 +197,12 @@ class AF:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AF)
-            and self.args == other.args
-            and self.attacks == other.attacks
+            and self._names == other._names
+            and self.out_masks == other.out_masks
         )
 
     def __repr__(self) -> str:
-        return f"AF(n={self.n}, attacks={len(self.attacks)})"
+        return f"AF(n={self.n}, attacks={sum(map(int.bit_count, self.out_masks))})"
 
 
 def parse_apx(text: str) -> AF:
@@ -197,23 +213,24 @@ def parse_apx(text: str) -> AF:
     declared later in the file.
 
     Valid text takes one pass: line breaks are normalised to ``\\n`` and one
-    ``findall`` of _TOKEN_RE captures the names of every fact.  Errors come
-    from _apx_error, which classifies the text line by line and never builds
-    an AF.  It runs only when a character is no part of a fact, comment or
-    whitespace, or when AF refuses the names (a duplicate arg fact, an
-    undeclared attack endpoint), and finds the first error and its line.
+    ``split`` by _TOKEN_RE returns a flat list, five entries per token: the
+    text between tokens (always empty) and the token's four groups, None
+    where a group did not take part.  So the columns ``parts[1::5]``,
+    ``parts[2::5]`` and ``parts[3::5]`` hold the arg names and the attack
+    endpoints, and AF reads them through ``filter`` and ``zip`` without a
+    tuple per fact.  Errors come from _apx_error, which classifies the text
+    line by line and never builds an AF.  It runs only when a character is no
+    part of a fact, comment or whitespace (``parts[4::5]``), or when AF
+    refuses the names (a duplicate arg fact, an undeclared attack endpoint),
+    and finds the first error and its line.
     """
     text = "\n".join(text.splitlines())
-    names, attacks = [], []
-    for name, src, dst, junk in _TOKEN_RE.findall(text):
-        if name:
-            names.append(name)
-        elif src:
-            attacks.append((src, dst))
-        elif junk:
-            raise _apx_error(text)
+    parts = _TOKEN_RE.split(text)
+    if any(parts[4::5]):
+        raise _apx_error(text)
+    attacks = zip(filter(None, parts[2::5]), filter(None, parts[3::5]))
     try:
-        return AF(names, attacks)
+        return AF(filter(None, parts[1::5]), attacks)
     except ValueError:
         raise _apx_error(text) from None
 
@@ -259,9 +276,21 @@ def _apx_error(text: str) -> ApxError:
 
 
 def serialize_apx(af: AF) -> str:
-    """Render an AF as APX text: args in id order, then attacks in (src,dst) id order."""
-    lines = [f"arg({a.name})." for a in af.args]
-    lines += [f"defeat({af.args[a].name},{af.args[b].name})." for a, b in af.attacks]
+    """Render an AF as APX text: args in id order, then attacks in (src,dst) id order.
+
+    The attacks come from the out masks directly: sources from the highest id
+    down, each mask's targets from its top bit down (bit_length is constant
+    time, and clearing the top bit shrinks the int), and the lines reversed.
+    """
+    names = af._names
+    defeats = []
+    for src, targets in zip(reversed(names), reversed(af.out_masks)):
+        while targets:
+            b = targets.bit_length() - 1
+            defeats.append(f"defeat({src},{names[b]}).")
+            targets ^= 1 << b
+    lines = [f"arg({x})." for x in names]
+    lines += reversed(defeats)
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -318,25 +347,36 @@ def _char_mask(af: AF, mask: int) -> int:
 def _grounded_mask(out, inn, universe: int | None = None) -> int:
     """Grounded extension of the sub-framework on universe (default: every
     argument) under the attack masks out/inn: the least fixpoint of its
-    characteristic function, iterated from the empty set."""
+    characteristic function, iterated from the empty set.
+
+    A worklist grows it step by step.  The first step takes the ids of
+    universe that have no attacker inside it.  An id can join later only when
+    its last attacker still open (undefeated) becomes defeated, so each step
+    tests just the targets of the arguments that its new members newly
+    defeat."""
     if universe is None:
         universe = (1 << len(out)) - 1
-    ids = _ids(universe)
+    fresh = 0
+    for i in _ids(universe):
+        if not inn[i] & universe:
+            fresh |= 1 << i
     mask = covered = 0
-    while True:
-        open_ = universe & ~covered  # members nothing in mask attacks yet
-        nxt = 0
-        for i in ids:
-            if not inn[i] & open_:
-                nxt |= 1 << i
-        if nxt == mask:
-            return mask
-        fresh = nxt & ~mask  # the iterates only grow
-        while fresh:
-            low = fresh & -fresh
-            covered |= out[low.bit_length() - 1]
-            fresh ^= low
-        mask = nxt
+    while fresh:
+        mask |= fresh
+        hit = 0
+        for i in _ids(fresh):
+            hit |= out[i]
+        defeated = hit & universe & ~covered
+        covered |= defeated
+        open_ = universe & ~covered
+        reach = 0
+        for d in _ids(defeated):
+            reach |= out[d]
+        fresh = 0
+        for c in _ids(reach & open_ & ~mask):
+            if not inn[c] & open_:
+                fresh |= 1 << c
+    return mask
 
 
 def restrict(af: AF, s: ArgSet) -> tuple[AF, tuple[int, ...]]:
@@ -346,13 +386,11 @@ def restrict(af: AF, s: ArgSet) -> tuple[AF, tuple[int, ...]]:
     """
     keep = s.ids()
     keep_set = set(keep)
-    names = [af.args[i].name for i in keep]
+    names = af._names
     sub_attacks = [
-        (af.args[a].name, af.args[b].name)
-        for a, b in af.attacks
-        if a in keep_set and b in keep_set
+        (names[a], names[b]) for a, b in af.attacks if a in keep_set and b in keep_set
     ]
-    return AF(names, sub_attacks), tuple(keep)
+    return AF([names[i] for i in keep], sub_attacks), tuple(keep)
 
 
 @dataclass(frozen=True)

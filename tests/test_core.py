@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from afkit import GenSpec, generate
 from afkit.core import (
     AF,
+    Argument,
     ArgSet,
+    _grounded_mask,
     _ids,
     attacked_by,
     characteristic,
     is_conflict_free,
+    parse_apx,
     range_of,
     restrict,
     sccs,
+    serialize_apx,
 )
 
 
@@ -92,6 +98,112 @@ def test_af_relation_from_any_attack_order():
             assert af.out_masks[v] == sum({1 << b for a, b in pairs if a == v})
             assert af.in_masks[v] == sum({1 << a for a, b in pairs if b == v})
         assert af.self_loop_mask == sum({1 << a for a, b in pairs if a == b})
+
+
+def _random_pairs(rng, n):
+    """Attacks as id pairs in random order, with repeats and self-attacks."""
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+    pairs += rng.sample(pairs, len(pairs) // 3)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_lazy_views_match_the_eager_build():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 14)
+        names = [f"x{rng.randrange(10**6)}_{i}" for i in range(n)]
+        pairs = _random_pairs(rng, n) if n else []
+        af = AF(names, [(names[a], names[b]) for a, b in pairs])
+        eager_attacks = tuple(sorted(set(pairs)))
+        assert af.attacks == eager_attacks
+        assert af.args == tuple(Argument(i, x) for i, x in enumerate(names))
+        eager_text = [f"arg({x})." for x in names]
+        eager_text += [f"defeat({names[a]},{names[b]})." for a, b in eager_attacks]
+        assert serialize_apx(af) == ("\n".join(eager_text) + "\n" if eager_text else "")
+
+
+def test_equality_and_repr_read_the_masks_only():
+    rng = random.Random(19)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        names = [f"a{i}" for i in range(n)]
+        pairs = _random_pairs(rng, n)
+        af = AF(names, [(names[a], names[b]) for a, b in pairs])
+        same = AF(names, [(names[a], names[b]) for a, b in reversed(pairs)])
+        other = AF(names, [(names[a], names[b]) for a, b in pairs + [(0, n - 1)]])
+        assert af == same and same == af
+        assert (af == other) == ((0, n - 1) in pairs)
+        renamed = [f"b{i}" for i in range(n)]
+        assert af != AF(renamed, [(renamed[a], renamed[b]) for a, b in pairs])
+        assert repr(af) == f"AF(n={n}, attacks={len(set(pairs))})"
+        for built in (af, same, other):
+            assert "args" not in vars(built) and "attacks" not in vars(built)
+
+
+def _tracked_objects() -> int:
+    return len(gc.get_objects())
+
+
+def test_parse_keeps_no_object_per_fact():
+    af = generate(GenSpec(kind="arbitrary", n=1000, p=0.002, seed=1))
+    text = serialize_apx(af)
+    edges = len(af.attacks)
+    assert edges > 1000
+    gc.collect()
+    gc.disable()  # a collection in between would untrack tuples of ints
+    try:
+        before = _tracked_objects()
+        parsed = parse_apx(text)
+        after_parse = _tracked_objects()
+        parsed.attacks
+        after_attacks = _tracked_objects()
+    finally:
+        gc.enable()
+    assert parsed == af
+    assert after_parse - before < 50
+    assert edges <= after_attacks - after_parse <= edges + 10
+
+
+def _grounded_oracle(n, pairs, inside):
+    """The least fixpoint of the characteristic function of the sub-framework
+    on inside, iterated from the empty set over frozensets."""
+    attackers = {x: frozenset(a for a, b in pairs if b == x and a in inside) for x in inside}
+    current = frozenset()
+    while True:
+        defeated = frozenset(b for a, b in pairs if a in current)
+        step = frozenset(x for x in inside if attackers[x] <= defeated)
+        if step == current:
+            return current
+        current = step
+
+
+def test_grounded_mask_matches_the_literal_fixpoint_on_sub_universes():
+    rng = random.Random(23)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.2, 0.35))
+        pairs = {(a, b) for a in range(n) for b in range(n) if rng.random() < p}
+        names = [f"a{i}" for i in range(n)]
+        af = AF(names, [(names[a], names[b]) for a, b in pairs])
+        for universe in (None, rng.getrandbits(n), af.full_mask & ~(1 << rng.randrange(n))):
+            inside = frozenset(i for i in range(n) if universe is None or universe >> i & 1)
+            got = _grounded_mask(af.out_masks, af.in_masks, universe)
+            assert set(_ids(got)) == _grounded_oracle(n, pairs, inside), (pairs, universe)
+
+
+def test_grounded_mask_walks_a_long_chain_link_by_link():
+    n = 300
+    names = [f"c{i}" for i in range(n)]
+    af = AF(names, list(zip(names, names[1:])))
+    evens = sum(1 << i for i in range(0, n, 2))
+    assert _grounded_mask(af.out_masks, af.in_masks) == evens
+    # cut the chain's head off: c1 is unattacked inside, its attacker outside
+    tail = af.full_mask & ~1
+    assert _grounded_mask(af.out_masks, af.in_masks, tail) == af.full_mask & ~evens
+    # a self-attacker in the middle stops the walk there
+    looped = AF(names, list(zip(names, names[1:])) + [("c150", "c150")])
+    assert _grounded_mask(looped.out_masks, looped.in_masks) == evens & ((1 << 150) - 1)
 
 
 def test_af_accessors(af6):
