@@ -85,8 +85,8 @@ MUTANTS = (
     Mutant(
         "attacks view derived from in_masks",
         CORE,
-        "for a, targets in enumerate(self.out_masks) for b in _ids(targets)",
-        "for a, targets in enumerate(self.in_masks) for b in _ids(targets)",
+        "(a, b) for a, targets in enumerate(self.out_masks) for b in _ids(targets)",
+        "(a, b) for a, targets in enumerate(self.in_masks) for b in _ids(targets)",
         (CORE_TESTS,),
     ),
     Mutant(
@@ -107,8 +107,8 @@ MUTANTS = (
     Mutant(
         "grounded candidates from the new members' targets",
         CORE,
-        "for d in _ids(defeated):",
-        "for d in _ids(fresh):",
+        "reach &= open_ & ~mask",
+        "reach = hit & open_ & ~mask",
         (CORE_TESTS,),
     ),
     Mutant(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -135,7 +134,11 @@ class AF:
     targets of argument a as a bitmask, in_masks[a] its attackers; both are
     filled in one loop over the attacks, so repeated attacks collapse.  The
     args and attacks tuples are views derived on first use, so building an AF
-    allocates no object per argument or per attack.
+    allocates no object per argument or per attack.  They are cached in
+    attributes that __init__ sets to None, not by functools.cached_property:
+    that writes through the instance __dict__, and on CPython 3.11 every
+    later attribute load on the AF (out_masks in the search, for one) then
+    takes about four times as long.
     """
 
     def __init__(self, names: Iterable[str], attacks: Iterable[tuple[str, str]]):
@@ -164,15 +167,23 @@ class AF:
         self.out_masks: tuple[int, ...] = tuple(out)
         self.in_masks: tuple[int, ...] = tuple(inn)
         self.self_loop_mask = loops
+        self._args: tuple[Argument, ...] | None = None
+        self._attacks: tuple[tuple[int, int], ...] | None = None
 
-    @cached_property
+    @property
     def args(self) -> tuple[Argument, ...]:
-        return tuple(map(Argument._make, enumerate(self._names)))
+        if self._args is None:
+            self._args = tuple(map(Argument._make, enumerate(self._names)))
+        return self._args
 
-    @cached_property
+    @property
     def attacks(self) -> tuple[tuple[int, int], ...]:
         """Every attack once as an id pair, in (src, dst) order."""
-        return tuple((a, b) for a, targets in enumerate(self.out_masks) for b in _ids(targets))
+        if self._attacks is None:
+            self._attacks = tuple(
+                (a, b) for a, targets in enumerate(self.out_masks) for b in _ids(targets)
+            )
+        return self._attacks
 
     def names(self, s: ArgSet | int) -> tuple[str, ...]:
         mask = s.mask if isinstance(s, ArgSet) else s
@@ -364,18 +375,24 @@ def _grounded_mask(out, inn, universe: int | None = None) -> int:
     while fresh:
         mask |= fresh
         hit = 0
-        for i in _ids(fresh):
-            hit |= out[i]
+        while fresh:  # the new members' targets; this empties fresh
+            low = fresh & -fresh
+            hit |= out[low.bit_length() - 1]
+            fresh ^= low
         defeated = hit & universe & ~covered
         covered |= defeated
         open_ = universe & ~covered
         reach = 0
-        for d in _ids(defeated):
-            reach |= out[d]
-        fresh = 0
-        for c in _ids(reach & open_ & ~mask):
-            if not inn[c] & open_:
-                fresh |= 1 << c
+        while defeated:  # the newly defeated arguments' targets
+            low = defeated & -defeated
+            reach |= out[low.bit_length() - 1]
+            defeated ^= low
+        reach &= open_ & ~mask
+        while reach:  # the candidates: those without an open attacker join
+            low = reach & -reach
+            if not inn[low.bit_length() - 1] & open_:
+                fresh |= low
+            reach ^= low
     return mask
 
 

@@ -138,7 +138,7 @@ def test_equality_and_repr_read_the_masks_only():
         assert af != AF(renamed, [(renamed[a], renamed[b]) for a, b in pairs])
         assert repr(af) == f"AF(n={n}, attacks={len(set(pairs))})"
         for built in (af, same, other):
-            assert "args" not in vars(built) and "attacks" not in vars(built)
+            assert built._args is None and built._attacks is None
 
 
 def _tracked_objects() -> int:
