@@ -1,4 +1,4 @@
-"""Print ROADMAP's ingest and hard-cases tables.
+"""Print ROADMAP's ingest, decide and hard-cases tables.
 
     python3 scripts/hard_cases.py
 
@@ -9,6 +9,15 @@ on its APX text (tokenizer and AF build), of 5 `_grounded_mask` calls on the
 whole framework and of 5 `serialize_apx` calls, then the gen-0/1/2
 collections of CPython's cyclic garbage collector that one `parse_apx` call
 triggers (from `gc.get_stats()`, after a `gc.collect()`).
+
+The decide table times the `decide` benchmark's costliest query kinds: CA/SA
+of every argument, with `max_args=None`, and VER of 20 seeded conflict-free
+sets.  Per row it gives the minimum over 5 passes of one pass's wall time per
+query, twice.  Cold runs ask each query of a fresh copy of the AF, as `afkit
+solve` does, so each pays for the search tables an AF builds on its first
+query (not for building the copy).  Warm runs ask every query of one AF whose
+tables an untimed pass has built, as a caller asking many questions of one
+framework does.
 
 In the hard-cases table, each cell is the minimum wall time of 3 in-process
 `enumerate_extensions(af, sem, max_args=None)` calls, followed by the number of
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import signal
 import sys
 import time
@@ -34,13 +44,23 @@ if __name__ == "__main__":
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from afkit import AF, GenSpec, enumerate_extensions, generate  # noqa: E402
+from afkit import (  # noqa: E402
+    AF,
+    ArgSet,
+    GenSpec,
+    credulous,
+    enumerate_extensions,
+    generate,
+    skeptical,
+    verify,
+)
 from afkit.bench import grid_dimensions  # noqa: E402
 from afkit.core import _grounded_mask, parse_apx, serialize_apx  # noqa: E402
 
 SEMANTICS = ("cf", "com", "stb", "prf", "sem", "stg", "grd_star")
 RUNS = 3
 INGEST_RUNS = 5
+DECIDE_RUNS = 5
 LIMIT_S = 10
 
 
@@ -86,6 +106,17 @@ INGEST_INSTANCES = (
     ("grid 1200, p=0", lambda: grid(1200, p=0.0)),
     ("arb 1000, p=0.002", lambda: generate(GenSpec(kind="arbitrary", n=1000, p=0.002, seed=1))),
     ("arb 2000, p=0.001", lambda: generate(GenSpec(kind="arbitrary", n=2000, p=0.001, seed=1))),
+)
+
+DECIDE_ROWS = (
+    ("CA stb grid 100", "CA", "stb", lambda: grid(100)),
+    ("SA stb grid 100", "SA", "stb", lambda: grid(100)),
+    ("CA sem arb 30", "CA", "sem", lambda: arb(30)),
+    ("SA sem arb 30", "SA", "sem", lambda: arb(30)),
+    ("CA stg arb 30", "CA", "stg", lambda: arb(30)),
+    ("SA stg arb 30", "SA", "stg", lambda: arb(30)),
+    ("VER stg grid 100 (cf sets)", "VER", "stg", lambda: grid(100)),
+    ("SA prf grid 25", "SA", "prf", lambda: grid(25)),
 )
 
 INSTANCES = (
@@ -154,8 +185,61 @@ def ingest_table() -> None:
               + f" | {collections_per_parse(text)} |", flush=True)
 
 
+def cf_sets(af: AF, count: int = 20) -> list[ArgSet]:
+    """count seeded conflict-free sets, each grown greedily over the ids in a
+    shuffled order."""
+    rng = random.Random(1)
+    sets = []
+    for _ in range(count):
+        ids = list(range(af.n))
+        rng.shuffle(ids)
+        mask = 0
+        for i in ids:
+            if not (af.out_masks[i] | af.in_masks[i]) & (mask | 1 << i):
+                mask |= 1 << i
+        sets.append(ArgSet(mask, af.n))
+    return sets
+
+
+def decide_table() -> None:
+    print("| query | queries | cold, per query | warm, per query | cold / warm |")
+    print("|---" * 5 + "|")
+    for label, task, sem, build in DECIDE_ROWS:
+        af = build()
+        names = [a.name for a in af.args]
+        attacks = [(names[a], names[b]) for a, b in af.attacks]
+        if task == "VER":
+            queries = cf_sets(af)
+            ask = lambda af_, s: verify(af_, sem, s)
+        else:
+            queries = list(range(af.n))
+            fn = credulous if task == "CA" else skeptical
+            ask = lambda af_, a: fn(af_, sem, a, max_args=None)
+
+        def cold() -> float:
+            fresh = [AF(names, attacks) for _ in queries]
+            start = time.perf_counter()
+            for af_, q in zip(fresh, queries):
+                ask(af_, q)
+            return time.perf_counter() - start
+
+        def warm() -> float:
+            start = time.perf_counter()
+            for q in queries:
+                ask(af, q)
+            return time.perf_counter() - start
+
+        warm()  # builds af's tables
+        cold_s = min(cold() for _ in range(DECIDE_RUNS)) / len(queries)
+        warm_s = min(warm() for _ in range(DECIDE_RUNS)) / len(queries)
+        print(f"| {label} | {len(queries)} | {_ms(cold_s)} | {_ms(warm_s)} | "
+              f"{cold_s / warm_s:.2f} |", flush=True)
+
+
 def main() -> None:
     ingest_table()
+    print()
+    decide_table()
     print()
     signal.signal(signal.SIGALRM, _alarm)
     print("| instance | " + " | ".join(SEMANTICS) + " |")

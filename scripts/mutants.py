@@ -199,18 +199,50 @@ MUTANTS = (
         (DIFFERENTIAL,),
     ),
     Mutant(
-        "near without the taken id's attackers",
-        SEMANTICS,
-        "near = [inns[p] | _attacked_mask(",
-        "near = [_attacked_mask(",
-        (DIFFERENTIAL,),
-    ),
-    Mutant(
         "skip check limited to the skipped id",
         SEMANTICS,
         "supported(bit | out, q, chosen, covered, hostile)",
         "supported(bit, q, chosen, covered, hostile)",
         (DIFFERENTIAL,),
+    ),
+    # the per-AF search tables
+    Mutant(
+        "near without the taken id's attackers",
+        SEMANTICS,
+        "inn[i] | _attacked_mask(af, (1 << i)",
+        "_attacked_mask(af, (1 << i)",
+        (CORE_TESTS, DIFFERENTIAL),
+    ),
+    Mutant(
+        "near without the targets of the taken id's attackers",
+        SEMANTICS,
+        "(1 << i) | out[i] | inn[i])",
+        "(1 << i) | out[i])",
+        (CORE_TESTS, DIFFERENTIAL),
+    ),
+    Mutant(
+        "near table kept on the class",
+        SEMANTICS,
+        "    if af._near is None:\n"
+        "        out, inn = af.out_masks, af.in_masks\n"
+        "        af._near = tuple(\n"
+        "            inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i]) for i in range(af.n)\n"
+        "        )\n"
+        "    return af._near",
+        "    if getattr(AF, '_near', None) is None:\n"
+        "        out, inn = af.out_masks, af.in_masks\n"
+        "        AF._near = tuple(\n"
+        "            inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i]) for i in range(af.n)\n"
+        "        )\n"
+        "    return AF._near",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "split without the grounded extension's targets",
+        SEMANTICS,
+        "gatt = _attacked_mask(af, g)",
+        "gatt = 0",
+        ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     # per-component stable decisions
     Mutant(
@@ -230,8 +262,8 @@ MUTANTS = (
     Mutant(
         "first component only",
         SEMANTICS,
-        "for c in _weak_component_masks(af, af.full_mask & ~(g | gatt))",
-        "for c in _weak_component_masks(af, af.full_mask & ~(g | gatt))[:1]",
+        "for c in comps\n",
+        "for c in comps[:1]\n",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(

@@ -130,15 +130,21 @@ def _reject_names(names: Sequence[str]) -> None:
 class AF:
     """Argumentation framework: named arguments plus a defeat relation over ids.
 
-    Immutable by convention after construction.  out_masks[a] holds the
-    targets of argument a as a bitmask, in_masks[a] its attackers; both are
-    filled in one loop over the attacks, so repeated attacks collapse.  The
-    args and attacks tuples are views derived on first use, so building an AF
-    allocates no object per argument or per attack.  They are cached in
-    attributes that __init__ sets to None, not by functools.cached_property:
-    that writes through the instance __dict__, and on CPython 3.11 every
-    later attribute load on the AF (out_masks in the search, for one) then
-    takes about four times as long.
+    An AF must not be mutated after construction: the views and tables below
+    are derived from its masks once and never refreshed.  out_masks[a] holds
+    the targets of argument a as a bitmask, in_masks[a] its attackers; both
+    are filled in one loop over the attacks, so repeated attacks collapse.
+    The args and attacks tuples are views derived on first use, so building
+    an AF allocates no object per argument or per attack.  Two search tables
+    are derived lazily too, by the semantics module on the first query that
+    needs them, and serve every later query on the same AF: _near, the
+    support rule's scope per id (semantics._near_table), and _split, the
+    grounded extension, its targets and the weak components of what lies
+    outside its range (semantics._split).  All four are cached in attributes
+    that __init__ sets to None, not by functools.cached_property: that
+    writes through the instance __dict__, and on CPython 3.11 every later
+    attribute load on the AF (out_masks in the search, for one) then takes
+    about four times as long.
     """
 
     def __init__(self, names: Iterable[str], attacks: Iterable[tuple[str, str]]):
@@ -169,6 +175,8 @@ class AF:
         self.self_loop_mask = loops
         self._args: tuple[Argument, ...] | None = None
         self._attacks: tuple[tuple[int, int], ...] | None = None
+        self._near: tuple[int, ...] | None = None
+        self._split: tuple[int, int, tuple[int, ...]] | None = None
 
     @property
     def args(self) -> tuple[Argument, ...]:

@@ -42,6 +42,15 @@ checks range-maximality per weak component: a component the set is stable on
 passes, one with a stable set of its own fails, and only the others are
 walked.
 
+Each AF keeps two search tables, built by its first query that needs them
+and read by every later one, so many short queries of one framework pay for
+them once: _near_table, the support rule's scope per id over the whole
+relation (a universe's search reads its ids' entries), and _split, the
+grounded extension, its targets and the weak components of what lies outside
+its range.  No answer is cached.  Grounded-only answers (grd, and skeptical
+com) compute the grounded extension alone, so a one-off grounded query of a
+large framework does not pay for the component walk.
+
 brute_force is the deliberately naive oracle: literal definitions evaluated
 over all subsets with frozenset algebra, sharing no search code with the
 engine above.
@@ -141,6 +150,31 @@ def grounded(af: AF) -> ArgSet:
     return ArgSet(_grounded_mask(af.out_masks, af.in_masks), af.n)
 
 
+def _near_table(af: AF) -> tuple[int, ...]:
+    """near[i], where taking id i can break _search's support rule: its
+    attackers, and the targets of the helpers taking it removes (i itself, its
+    targets, its attackers).  It depends on the attack relation alone, so it
+    is built over the whole framework on first use and kept on the AF."""
+    if af._near is None:
+        out, inn = af.out_masks, af.in_masks
+        af._near = tuple(
+            inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i]) for i in range(af.n)
+        )
+    return af._near
+
+
+def _split(af: AF) -> tuple[int, int, tuple[int, ...]]:
+    """The grounded extension g, its targets gatt and the weak components of
+    what lies outside g's range, by lowest id: computed on first use and kept
+    on the AF."""
+    if af._split is None:
+        g = _grounded_mask(af.out_masks, af.in_masks)
+        gatt = _attacked_mask(af, g)
+        comps = tuple(_weak_component_masks(af, af.full_mask & ~(g | gatt)))
+        af._split = g, gatt, comps
+    return af._split
+
+
 def _search(
     af: AF,
     *,
@@ -167,13 +201,21 @@ def _search(
     stage encodings).  A branch with a todo argument that no helper attacks
     yields nothing and is not pushed, so the yield order is that of the plain
     walk.  The cf walk without cover does no rule work.
+
+    A take is checked over near[p], the _near_table entry of its id, which
+    spans the whole relation.  On a universe it is a superset of the entry
+    built over the universe alone, so it only widens the check's scope; the
+    rule still cuts only branches that yield nothing, and the yield order is
+    unchanged.
     """
+    table = _near_table(af)
     if universe is None:
-        ids, outs, inns = range(af.n), af.out_masks, af.in_masks
+        ids, outs, inns, near = range(af.n), af.out_masks, af.in_masks, table
     else:
         ids = _ids(universe)
         outs = [af.out_masks[i] for i in ids]
         inns = [af.in_masks[i] & universe for i in ids]
+        near = [table[i] for i in ids]
         forced_in &= universe
     attackers = af.in_masks
     k = len(ids)
@@ -193,9 +235,6 @@ def _search(
         future_in[p] = future_in[p + 1] | (0 if bits[p] & blocked else bits[p])
     track = admissible or bool(cover)
     threat = -1 if admissible else 0
-    # near[p]: where taking id p can break the rule: its attackers, and the
-    # targets of the helpers it removes
-    near = [inns[p] | _attacked_mask(af, bits[p] | outs[p] | inns[p]) for p in range(k)]
 
     def supported(scope: int, q: int, chosen: int, covered: int, hostile: int) -> bool:
         helpers = future_in[q] & ~(covered | hostile)
@@ -276,23 +315,23 @@ def _range_maximal(af: AF, masks: Iterable[int], universe: int) -> list[int]:
     return [m for m, r in pairs if r in best]
 
 
-def _join(af: AF, sem: Semantics, base: int, universe: int, g: int, gatt: int) -> list[int]:
-    """base joined with one of sem's local extensions per weak component of
-    universe; none when some component has none."""
+def _join(af: AF, sem: Semantics, base: int, comps: Iterable[int]) -> list[int]:
+    """base joined with one of sem's local extensions per weak component in
+    comps; none when some component has none."""
     combos = [base]
-    for c in _weak_component_masks(af, universe):
-        local = _local(af, sem, c, g, gatt)
+    for c in comps:
+        local = _local(af, sem, c)
         if not local:
             return []
         combos = [p | q for p in combos for q in local]
     return combos
 
 
-def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
-    """sem's extensions of the weak component c, as masks inside c, given the
-    grounded extension g and its targets gatt."""
+def _local(af: AF, sem: Semantics, c: int) -> list[int]:
+    """sem's extensions of the weak component c, as masks inside c."""
     if sem is Semantics.PRF:
         return _subset_maximal(_search(af, admissible=True, universe=c))
+    g, _, comps = _split(af)
     if sem is Semantics.COM:
         return [
             m
@@ -300,8 +339,9 @@ def _local(af: AF, sem: Semantics, c: int, g: int, gatt: int) -> list[int]:
             if _char_mask(af, g | m) & c == m
         ]
     if sem is Semantics.STG:
-        # c's stable sets split over what lies outside g's range, as stb's do
-        stable = _join(af, Semantics.STB, g & c, c & ~(g | gatt), g, gatt)
+        # c's stable sets split over what lies outside g's range, as stb's
+        # do: the remainder's components inside c
+        stable = _join(af, Semantics.STB, g & c, [d for d in comps if d & c])
     else:
         stable = list(_search(af, admissible=False, cover=c, universe=c))
     if stable or sem is Semantics.STB:
@@ -315,14 +355,13 @@ def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
     """Whether a stable extension holds forced_in and avoids forced_out.  It is
     complete, so it holds the grounded extension g and none of g's targets;
     the rest is one stable set per weak component outside g's range."""
-    g = _grounded_mask(af.out_masks, af.in_masks)
-    gatt = _attacked_mask(af, g)
+    g, gatt, comps = _split(af)
     if forced_in & gatt or forced_out & g:
         return False  # a component's universe would drop these pins
     return all(
         any(_search(af, admissible=False, forced_in=forced_in, forced_out=forced_out,
                     cover=c, universe=c))
-        for c in _weak_component_masks(af, af.full_mask & ~(g | gatt))
+        for c in comps
     )
 
 
@@ -335,13 +374,12 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
         from . import resolution
 
         return list(resolution.grd_star(af, max_args=None).masks())
-    g = _grounded_mask(af.out_masks, af.in_masks)
     if sem is Semantics.GRD:
-        return [g]
-    gatt = _attacked_mask(af, g)
+        return [_grounded_mask(af.out_masks, af.in_masks)]
+    g, _, comps = _split(af)
     if sem is Semantics.STG:
-        return _join(af, sem, 0, af.full_mask, g, gatt)
-    return _join(af, sem, g, af.full_mask & ~(g | gatt), g, gatt)
+        return _join(af, sem, 0, _weak_component_masks(af))
+    return _join(af, sem, g, comps)
 
 
 def enumerate_extensions(

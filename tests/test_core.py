@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from afkit import GenSpec, generate
+from afkit import GenSpec, credulous, generate, verify
 from afkit.core import (
     AF,
     Argument,
@@ -22,6 +22,7 @@ from afkit.core import (
     sccs,
     serialize_apx,
 )
+from afkit.semantics import _near_table, _split
 
 
 def test_argset_basics():
@@ -139,6 +140,46 @@ def test_equality_and_repr_read_the_masks_only():
         assert repr(af) == f"AF(n={n}, attacks={len(set(pairs))})"
         for built in (af, same, other):
             assert built._args is None and built._attacks is None
+
+
+def test_near_table_matches_its_definition():
+    """near[i]: i's attackers, and every target of i, of i's targets and of
+    i's attackers, over the whole relation; built once and kept."""
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        names = [f"a{i}" for i in range(n)]
+        pairs = set(_random_pairs(rng, n)) if n else set()
+        af = AF(names, [(names[a], names[b]) for a, b in pairs])
+
+        def targets(s):
+            return {b for a, b in pairs if a in s}
+
+        expected = []
+        for i in range(n):
+            attackers = {a for a, b in pairs if b == i}
+            near = attackers | targets({i} | targets({i}) | attackers)
+            expected.append(sum(1 << x for x in near))
+        table = _near_table(af)
+        assert table == tuple(expected), pairs
+        assert _near_table(af) is table
+
+
+def test_parse_and_build_leave_the_search_tables_unbuilt(af6):
+    """An AF derives its search tables on the first query that needs them,
+    never while it is built."""
+    parsed = parse_apx(serialize_apx(af6))
+    for af in (af6, parsed):
+        assert af._near is None and af._split is None
+    assert verify(parsed, "cf", parsed.argset(["a"]))
+    assert parsed._near is None and parsed._split is None
+    assert credulous(parsed, "stb", "a")
+    near, split = parsed._near, parsed._split
+    assert near == _near_table(af6) and split == _split(af6)
+    # {a}, its target b, and the one component c, d, e, f outside that range
+    assert split == (0b000001, 0b000010, (0b111100,))
+    assert credulous(parsed, "stb", "e") is False  # c or d attacks it
+    assert parsed._near is near and parsed._split is split
 
 
 def _tracked_objects() -> int:

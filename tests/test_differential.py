@@ -58,7 +58,7 @@ from afkit import (
     verify,
     verify_grd_star,
 )
-from afkit.core import _attacked_mask, _grounded_mask
+from afkit.core import _attacked_mask, _grounded_mask, parse_apx, serialize_apx
 from afkit import semantics
 from afkit.semantics import _cf_masks, _search, _weak_component_masks
 from conftest import plus_three_cycle
@@ -282,6 +282,59 @@ def test_stable_decisions_search_the_grounded_remainder_by_component(monkeypatch
                 universes.clear()
                 assert fn(af, "stb", a) is answer
                 assert universes == [], (fn.__name__, a)
+
+
+ALL_SEMANTICS = ("cf", "adm", "com", "grd", "stb", "prf", "sem", "stg", "grd_star")
+
+
+def _ask(af: AF, task: str, sem: str, query):
+    if task == "EE":
+        return enumerate_extensions(af, sem)
+    if task == "VER":
+        return verify(af, sem, ArgSet(query, af.n))
+    return (credulous if task == "CA" else skeptical)(af, sem, query)
+
+
+def test_interleaved_queries_on_one_af_match_fresh_frameworks():
+    """The per-AF search tables serve every later query on the same AF: a
+    shuffled mix of EE/CA/SA/VER over all nine semantics on one AF object
+    answers as the same call on a freshly parsed copy, and as the oracles."""
+    rng = random.Random(59)
+    asked = 0
+    for k in range(90):
+        n = rng.randint(1, 10)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.15, 0.25, 0.35))
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+        if k % 3 == 0:
+            af = plus_three_cycle(af)
+        text = serialize_apx(af)
+        oracle = {sem: brute_force(af, sem) for sem in ALL_SEMANTICS[:-1]}
+        oracle["grd_star"] = grd_star_naive(af)
+        queries = []
+        for sem, exts in oracle.items():
+            queries.append(("EE", sem, None))
+            queries += [(task, sem, a) for task in ("CA", "SA") for a in range(af.n)]
+            candidates = [e.mask for e in list(exts)[:3]]
+            candidates += [rng.getrandbits(af.n) & rng.getrandbits(af.n) for _ in range(4)]
+            queries += [("VER", sem, m) for m in candidates]
+        rng.shuffle(queries)
+        for task, sem, query in queries:
+            got = _ask(af, task, sem, query)
+            assert got == _ask(parse_apx(text), task, sem, query), (text, task, sem, query)
+            exts = oracle[sem]
+            if task == "EE":
+                expected = exts
+            elif task == "VER":
+                expected = ArgSet(query, af.n) in exts
+            elif task == "CA":
+                expected = any(query in e for e in exts)
+            else:
+                expected = all(query in e for e in exts)
+            assert got == expected, (text, task, sem, query)
+            asked += 1
+        assert af._near is not None and af._split is not None
+    assert asked >= 14000
 
 
 def _grd_star_by_candidates(af: AF) -> ExtensionSet:
