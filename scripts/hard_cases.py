@@ -10,12 +10,14 @@ whole framework and of 5 `serialize_apx` calls, then the gen-0/1/2
 collections of CPython's cyclic garbage collector that one `parse_apx` call
 triggers (from `gc.get_stats()`, after a `gc.collect()`).
 
-The decide table times the `decide` benchmark's costliest query kinds: CA/SA
-of every argument, with `max_args=None`, and VER of 20 seeded conflict-free
-sets.  Per row it gives the minimum over 5 passes of one pass's wall time per
-query, twice.  Cold runs ask each query of a fresh copy of the AF, as `afkit
-solve` does, so each pays for the search tables an AF builds on its first
-query (not for building the copy).  Warm runs ask every query of one AF whose
+The decide table times the `decide` benchmark's costliest query kinds, and
+CA stb on the sparse 2,000-argument ingest shape, where the search touches a
+few arguments but the tables span them all: CA/SA of each of the first 100
+arguments, with `max_args=None`, and VER of 20 seeded conflict-free sets.  Per
+row it gives the minimum over 5 passes of one pass's wall time per query,
+twice.  Cold runs ask each query of a fresh copy of the AF, as `afkit solve`
+does, so each pays for the search tables an AF builds on its first query (the
+copy is built off the clock).  Warm runs ask every query of one AF whose
 tables an untimed pass has built, as a caller asking many questions of one
 framework does.
 
@@ -117,6 +119,8 @@ DECIDE_ROWS = (
     ("SA stg arb 30", "SA", "stg", lambda: arb(30)),
     ("VER stg grid 100 (cf sets)", "VER", "stg", lambda: grid(100)),
     ("SA prf grid 25", "SA", "prf", lambda: grid(25)),
+    ("CA stb arb 2000, p=0.001", "CA", "stb",
+     lambda: generate(GenSpec(kind="arbitrary", n=2000, p=0.001, seed=1))),
 )
 
 INSTANCES = (
@@ -212,16 +216,18 @@ def decide_table() -> None:
             queries = cf_sets(af)
             ask = lambda af_, s: verify(af_, sem, s)
         else:
-            queries = list(range(af.n))
+            queries = list(range(min(af.n, 100)))
             fn = credulous if task == "CA" else skeptical
             ask = lambda af_, a: fn(af_, sem, a, max_args=None)
 
         def cold() -> float:
-            fresh = [AF(names, attacks) for _ in queries]
-            start = time.perf_counter()
-            for af_, q in zip(fresh, queries):
-                ask(af_, q)
-            return time.perf_counter() - start
+            busy = 0.0
+            for q in queries:
+                fresh = AF(names, attacks)
+                start = time.perf_counter()
+                ask(fresh, q)
+                busy += time.perf_counter() - start
+            return busy
 
         def warm() -> float:
             start = time.perf_counter()
