@@ -205,6 +205,21 @@ MUTANTS = (
         "supported(bit, q, chosen, covered, hostile)",
         (DIFFERENTIAL,),
     ),
+    # the complete walk's defended-skip rule
+    Mutant(
+        "complete walk without the defended-skip rule",
+        SEMANTICS,
+        "bit & forced_in or complete and not inns[p] & ~covered",
+        "bit & forced_in",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "defended-skip rule fires when the lowest attacker alone is countered",
+        SEMANTICS,
+        "complete and not inns[p] & ~covered",
+        "complete and not inns[p] & -inns[p] & ~covered",
+        (DIFFERENTIAL,),
+    ),
     # the per-AF search tables
     Mutant(
         "near without the taken id's attackers",

@@ -14,9 +14,7 @@ base_seed + t on every engine, so engines are compared on the same instances.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Sequence
@@ -143,6 +141,8 @@ def run_one(
     jobs: int = 1,
 ) -> BenchRecord:
     """Run one timed solve in a killable child process."""
+    import multiprocessing  # here, so that importing afkit stays light
+
     sem = Semantics(semantics).value
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -313,6 +313,8 @@ def run_bench(
 
     if jobs == 1:
         return [execute(run) for run in runs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(execute, runs))
 

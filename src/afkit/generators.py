@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import AF
 
 KINDS = ("arbitrary", "grid")
@@ -65,8 +63,12 @@ class GenSpec:
                 raise ValueError("m only applies to the grid kind")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _rng(seed: int) -> "numpy.random.Generator":
+    # imported here so that importing afkit (and starting `afkit solve`)
+    # does not pay for loading numpy
+    import numpy
+
+    return numpy.random.Generator(numpy.random.PCG64(seed))
 
 
 def gen_arbitrary(spec: GenSpec) -> AF:
@@ -80,7 +82,7 @@ def gen_arbitrary(spec: GenSpec) -> AF:
         # one batched draw per source consumes the stream exactly as one
         # scalar draw per eligible pair would
         targets = names if spec.self_attacks else names[:i] + names[i + 1:]
-        hits = np.flatnonzero(rng.random(len(targets)) < spec.p)
+        hits = (rng.random(len(targets)) < spec.p).nonzero()[0]
         attacks += [(src, targets[j]) for j in hits]
     return AF(names, attacks)
 

@@ -17,6 +17,16 @@ each id joins every earlier set it does not conflict with, skipping whole the
 sets whose highest id it conflicts with, and the sets come out in ascending
 order, which ExtensionSet sorts in linear time.
 
+Where the answer depends only on complete sets (com, prf and sem's
+range-maximal candidates per component, and prf verification), the walk is
+asked for complete sets: a branch that skips an argument the chosen set
+already defends is cut, since every complete extension holds each argument it
+defends (Modgil & Caminada 2009; Nofal, Atkinson & Dunne 2014).  Every
+preferred and semi-stable extension is complete, and every admissible set's
+range lies inside some complete set's range, so these filters see every set
+they keep.  The walk still yields some sets that are not complete, so com
+keeps its check.
+
 Complete, stable, preferred, semi-stable and stage extensions are built one
 weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
 AIJ 2005): each is a base joined with one local extension per component.  For
@@ -183,6 +193,7 @@ def _search(
     forced_out: int = 0,
     cover: int = 0,
     universe: int | None = None,
+    complete: bool = False,
 ) -> Iterator[int]:
     """Yield conflict-free (or admissible) sets of the sub-framework on
     universe (default: every argument) as bitmasks.
@@ -207,6 +218,17 @@ def _search(
     built over the universe alone, so it only widens the check's scope; the
     rule still cuts only branches that yield nothing, and the yield order is
     unchanged.
+
+    complete (admissible walk only) asks for a walk that keeps every complete
+    set: the skip child of an id is not pushed when the chosen set already
+    attacks each of its attackers in the universe, since every complete
+    extension holds each argument it defends (the labelling rule "an argument
+    whose attackers are all OUT must be IN": Modgil & Caminada, "Proof
+    theories and algorithms for abstract argumentation frameworks", 2009;
+    Nofal, Atkinson & Dunne, AIJ 2014).  The yields are then an ordered
+    subsequence of the plain admissible walk that holds every complete set of
+    the universe's sub-framework meeting the pins; some non-complete sets
+    remain, as an id defended only by later takes is still skipped.
     """
     table = _near_table(af)
     if universe is None:
@@ -256,8 +278,9 @@ def _search(
             continue
         bit, out, q = bits[p], outs[p], p + 1
         take = not (bit & (blocked | covered) or out & chosen)
-        # skipping a helper shrinks the helpers of bit and its targets only
-        if not bit & forced_in and (
+        # skipping a helper shrinks the helpers of bit and its targets only;
+        # a complete walk never skips an id the chosen set already defends
+        if not (bit & forced_in or complete and not inns[p] & ~covered) and (
             not (track and take) or supported(bit | out, q, chosen, covered, hostile)
         ):
             stack.append((q, chosen, covered, hostile))
@@ -330,12 +353,12 @@ def _join(af: AF, sem: Semantics, base: int, comps: Iterable[int]) -> list[int]:
 def _local(af: AF, sem: Semantics, c: int) -> list[int]:
     """sem's extensions of the weak component c, as masks inside c."""
     if sem is Semantics.PRF:
-        return _subset_maximal(_search(af, admissible=True, universe=c))
+        return _subset_maximal(_search(af, admissible=True, universe=c, complete=True))
     g, _, comps = _split(af)
     if sem is Semantics.COM:
         return [
             m
-            for m in _search(af, admissible=True, universe=c)
+            for m in _search(af, admissible=True, universe=c, complete=True)
             if _char_mask(af, g | m) & c == m
         ]
     if sem is Semantics.STG:
@@ -346,7 +369,9 @@ def _local(af: AF, sem: Semantics, c: int) -> list[int]:
         stable = list(_search(af, admissible=False, cover=c, universe=c))
     if stable or sem is Semantics.STB:
         return stable
-    sets = (_search(af, admissible=True, universe=c) if sem is Semantics.SEM
+    # semi-stable extensions are complete, and every admissible set's range
+    # lies inside the range of a complete set, so the complete walk suffices
+    sets = (_search(af, admissible=True, universe=c, complete=True) if sem is Semantics.SEM
             else _cf_masks(af, c))
     return _range_maximal(af, sets, c)
 
@@ -431,7 +456,11 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     if sem is Semantics.COM:
         return defended == mask
     if sem is Semantics.PRF:
-        return all(m == mask for m in _search(af, admissible=True, forced_in=mask))
+        # a non-maximal admissible set has a preferred, hence complete, strict
+        # superset, and the complete walk yields every complete superset
+        return all(
+            m == mask for m in _search(af, admissible=True, forced_in=mask, complete=True)
+        )
     if sem in (Semantics.SEM, Semantics.STG):
         # no admissible (sem) or conflict-free (stg) set has a larger range;
         # both kinds of set and their ranges split over the weak components

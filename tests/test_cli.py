@@ -358,18 +358,37 @@ def test_consecutive_calls_share_no_state(af6_file, capsys):
         0, "arg(a1_1).\narg(a1_2).\ndefeat(a1_1,a1_2).\n")
 
 
-def test_module_entrypoint_help():
-    # the child does not inherit pytest's pythonpath setting
+def _child_env() -> dict:
+    """The environment for a child Python, which does not inherit pytest's
+    pythonpath setting: this checkout's src/ first on PYTHONPATH."""
     src_dir = Path(afkit.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entrypoint_help():
     proc = subprocess.run(
         [sys.executable, "-m", "afkit.cli", "--help"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_import_loads_no_heavy_modules():
+    # numpy (the generators' PCG64) and the bench's process and thread pools
+    # load only when used, so a cold `afkit solve` does not pay for them
+    heavy = ("numpy", "multiprocessing", "concurrent.futures")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, afkit, afkit.cli\n"
+         f"print(*[m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _declared_scripts():
@@ -400,12 +419,8 @@ def test_console_script_installed(tmp_path):
         "if __name__ == '__main__':\n"
         f"    sys.exit({attr}())\n"
     )
-    src_dir = Path(afkit.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(script), "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: afkit")
 

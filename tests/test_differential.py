@@ -32,7 +32,10 @@ definition and sorted into its take-first order, with random pins, cover and
 universe in both modes, and with the shapes its support rule serves: the
 grounded pins of a stable walk partly outside the universe, and cover bits
 outside it.  The conflict-free build _cf_masks against _search, sorted: the
-same sets, in ascending order, also where it skips whole blocks of sets.
+same sets, in ascending order, also where it skips whole blocks of sets.  The
+complete walk against the plain admissible walk, whose yields it must keep in
+order, and against brute_force's complete extensions, which it must all
+yield; a pinned yield count on one grid fails if its rule is dropped.
 """
 from __future__ import annotations
 
@@ -582,3 +585,54 @@ def test_search_matches_definition_on_the_support_rule_shapes():
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 8  # many calls have an order to check
+
+
+def _is_subsequence(part: list[int], whole: list[int]) -> bool:
+    rest = iter(whole)
+    return all(m in rest for m in part)
+
+
+def test_complete_walk_keeps_every_complete_set_in_walk_order():
+    """The complete walk against the plain admissible walk and the oracle:
+    with random pins, on the whole framework and on each weak component of
+    the grounded remainder (the universes _local walks), its yields are an
+    ordered subsequence of the plain walk's and hold every complete extension
+    of the universe's sub-framework that meets the pins."""
+    rng = random.Random(59)
+    calls = cut = 0
+    for _ in range(800):
+        n = rng.randint(1, 10)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.15, 0.25, 0.35))
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+        _, _, comps = semantics._split(af)
+        for universe in (af.full_mask, *comps):
+            sub, orig = restrict(af, ArgSet(universe, n))
+            complete = [_to_parent(e.mask, orig) for e in brute_force(sub, "com")]
+            for _ in range(3):
+                forced_in = universe & rng.getrandbits(n) & rng.getrandbits(n)
+                forced_out = universe & rng.getrandbits(n) & rng.getrandbits(n)
+                pins = dict(forced_in=forced_in, forced_out=forced_out, universe=universe)
+                plain = list(_search(af, admissible=True, **pins))
+                got = list(_search(af, admissible=True, complete=True, **pins))
+                assert _is_subsequence(got, plain), (af.attacks, pins)
+                assert {
+                    m for m in complete if not forced_in & ~m and not m & forced_out
+                } <= set(got), (af.attacks, pins)
+                calls += 1
+                cut += len(got) < len(plain)
+    assert cut >= calls // 8  # the rule often cuts something
+
+
+def test_complete_walk_yield_count_on_a_grid():
+    """On grid 30's grounded remainder (one 24-argument component), the
+    complete walk yields 772 of the plain walk's 3,052 admissible sets, and
+    the com filter keeps 79 of them; a walk without its defended-skip rule
+    yields all 3,052."""
+    af = generate(GenSpec(kind="grid", n=5, m=6, p=0.3, seed=1))
+    _, _, comps = semantics._split(af)
+    assert len(comps) == 1
+    (c,) = comps
+    assert sum(1 for _ in _search(af, admissible=True, universe=c)) == 3052
+    assert sum(1 for _ in _search(af, admissible=True, universe=c, complete=True)) == 772
+    assert len(semantics._local(af, semantics.Semantics.COM, c)) == 79
