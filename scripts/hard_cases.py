@@ -10,28 +10,32 @@ whole framework and of 5 `serialize_apx` calls, then the gen-0/1/2
 collections of CPython's cyclic garbage collector that one `parse_apx` call
 triggers (from `gc.get_stats()`, after a `gc.collect()`).
 
-The decide table times the `decide` benchmark's costliest query kinds, and
-CA stb on the sparse 2,000-argument ingest shape, where the search touches a
-few arguments but the tables span them all: CA/SA of each of the first 100
-arguments, with `max_args=None`, and VER of 20 seeded conflict-free sets.  Per
-row it gives the minimum over 5 passes of one pass's wall time per query,
-twice.  Cold runs ask each query of a fresh copy of the AF, as `afkit solve`
-does, so each pays for the search tables an AF builds on its first query (the
-copy is built off the clock).  Warm runs ask every query of one AF whose
-tables an untimed pass has built, as a caller asking many questions of one
-framework does.
+The decide table times the `decide` benchmark's costliest query kinds, CA
+stb on the sparse 2,000-argument ingest shape, where the search touches a
+few arguments but the tables span them all, and CA/SA grd_star on `10 linked
+pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i linking them into
+one weak component, where each query enumerates every grd_star extension.
+It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
+VER of 20 seeded conflict-free sets.  Per row it gives the minimum over 5
+passes of one pass's wall time per query, twice.  Cold runs ask each query
+of a fresh copy of the AF, as `afkit solve` does, so each pays for the search
+tables an AF builds on its first query (the copy is built off the clock).
+Warm runs ask every query of one AF whose tables an untimed pass has built,
+as a caller asking many questions of one framework does.
 
 In the hard-cases table, each cell is the minimum wall time of 3 in-process
 `enumerate_extensions(af, sem, max_args=None)` calls, followed by the number of
 extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
 reads `>10 s`.  One process, no workers; the instances are those of ROADMAP:
 `grid N` is `grid_dimensions(N)` with p=0.3 and seed 1, `arb N` is `arbitrary`
-with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, the 30x40 grid
-has p=0, and `16 free + 60-clique` puts 16 unattacked arguments below a
-60-clique that attacks all of them.  Run as a script, it imports afkit from
-this checkout's `src/`; imported (for `grid`, `arb`, `plus_three_cycle`,
-`free_below_clique`), it leaves `sys.path` alone, so the importer times the
-afkit it put on its own path.
+with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, `← 3-cycle`
+attaches one (a cycle z0 -> z1 -> z2 -> z0 whose z0 also attacks argument id
+0, so the framework stays one weak component and has no stable extension),
+the 30x40 grid has p=0, and `16 free + 60-clique` puts 16 unattacked
+arguments below a 60-clique that attacks all of them.  Run as a script, it
+imports afkit from this checkout's `src/`; imported (for `grid`, `arb`,
+`plus_three_cycle`, `linked_pairs`, `free_below_clique`), it leaves
+`sys.path` alone, so the importer times the afkit it put on its own path.
 """
 from __future__ import annotations
 
@@ -95,12 +99,28 @@ def free_below_clique(free: int = 16, clique: int = 60) -> AF:
     return AF(low + high, attacks)
 
 
-def plus_three_cycle(af: AF) -> AF:
+def plus_three_cycle(af: AF, attached: bool = False) -> AF:
+    """af joined with an odd cycle z0 -> z1 -> z2 -> z0; attached, z0 also
+    attacks argument id 0."""
     names = [a.name for a in af.args]
     cycle = ["z0", "z1", "z2"]
     attacks = [(names[a], names[b]) for a, b in af.attacks]
     attacks += zip(cycle, cycle[1:] + cycle[:1])
+    if attached:
+        attacks.append(("z0", names[0]))
     return AF(names + cycle, attacks)
+
+
+def linked_pairs(k: int) -> AF:
+    """k triples x_i <-> y_i -> z_i, linked by z_{i-1} -> x_i."""
+    names, attacks = [], []
+    for i in range(k):
+        x, y, z = f"x{i}", f"y{i}", f"z{i}"
+        names += [x, y, z]
+        attacks += [(x, y), (y, x), (y, z)]
+        if i:
+            attacks.append((f"z{i - 1}", x))
+    return AF(names, attacks)
 
 
 INGEST_INSTANCES = (
@@ -121,6 +141,8 @@ DECIDE_ROWS = (
     ("SA prf grid 25", "SA", "prf", lambda: grid(25)),
     ("CA stb arb 2000, p=0.001", "CA", "stb",
      lambda: generate(GenSpec(kind="arbitrary", n=2000, p=0.001, seed=1))),
+    ("CA grd_star 10 linked pairs", "CA", "grd_star", lambda: linked_pairs(10)),
+    ("SA grd_star 10 linked pairs", "SA", "grd_star", lambda: linked_pairs(10)),
 )
 
 INSTANCES = (
@@ -128,6 +150,9 @@ INSTANCES = (
     ("grid 60", lambda: grid(60)),
     ("arb 60", lambda: arb(60)),
     ("grid 30 + 3-cycle", lambda: plus_three_cycle(grid(30))),
+    ("grid 25 ← 3-cycle", lambda: plus_three_cycle(grid(25), attached=True)),
+    ("arb 30 ← 3-cycle", lambda: plus_three_cycle(arb(30), attached=True)),
+    ("grid 30 ← 3-cycle", lambda: plus_three_cycle(grid(30), attached=True)),
     ("30×40 grid, p=0", lambda: grid(1200, p=0.0)),
     ("16 free + 60-clique", free_below_clique),
 )

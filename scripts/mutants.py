@@ -118,6 +118,14 @@ MUTANTS = (
         "open_ = universe & ~covered\n        covered |= defeated",
         (CORE_TESTS,),
     ),
+    # the characteristic function
+    Mutant(
+        "characteristic function without its outer complement",
+        CORE,
+        "return af.full_mask & ~_attacked_mask(",
+        "return af.full_mask & _attacked_mask(",
+        (CORE_TESTS, "tests/test_semantics.py"),
+    ),
     # Kosaraju SCCs and the minimal relevant components
     Mutant(
         "flood fill ignores already-placed ids",
@@ -180,14 +188,14 @@ MUTANTS = (
     Mutant(
         "hostile from the full in_masks",
         SEMANTICS,
-        "hostile |= inns[p] if track else 0",
-        "hostile |= attackers[ids[p]] if track else 0",
+        "hostile |= inns[p]",
+        "hostile |= attackers[ids[p]]",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "skip children pushed unchecked",
         SEMANTICS,
-        "not (track and take) or supported(bit | out, q, chosen, covered, hostile)",
+        "not take or supported(bit | out, q, chosen, covered, hostile)",
         "True",
         (DIFFERENTIAL,),
     ),
@@ -268,6 +276,13 @@ MUTANTS = (
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(
+        "pinned-out id left in the component's universe",
+        SEMANTICS,
+        "universe=c & ~forced_out))",
+        "universe=c))",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
         "no blocked-pin return",
         SEMANTICS,
         "if forced_in & blocked:",
@@ -330,6 +345,13 @@ MUTANTS = (
         "masks = sorted(set(masks))",
         "pass",
         ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "prf reduct taken outside the set instead of its range",
+        SEMANTICS,
+        "universe=af.full_mask & ~rng))",
+        "universe=af.full_mask & ~mask))",
+        ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(
         "verify skips the per-component stable check",

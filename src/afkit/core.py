@@ -355,12 +355,8 @@ def _ids(mask: int) -> list[int]:
 
 
 def _char_mask(af: AF, mask: int) -> int:
-    covered = _attacked_mask(af, mask)
-    acc = 0
-    for i in range(af.n):
-        if af.in_masks[i] & ~covered == 0:
-            acc |= 1 << i
-    return acc
+    """The ids that no argument outside mask's targets attacks."""
+    return af.full_mask & ~_attacked_mask(af, af.full_mask & ~_attacked_mask(af, mask))
 
 
 def _grounded_mask(out, inn, universe: int | None = None) -> int:

@@ -18,14 +18,17 @@ sets whose highest id it conflicts with, and the sets come out in ascending
 order, which ExtensionSet sorts in linear time.
 
 Where the answer depends only on complete sets (com, prf and sem's
-range-maximal candidates per component, and prf verification), the walk is
-asked for complete sets: a branch that skips an argument the chosen set
-already defends is cut, since every complete extension holds each argument it
-defends (Modgil & Caminada 2009; Nofal, Atkinson & Dunne 2014).  Every
-preferred and semi-stable extension is complete, and every admissible set's
-range lies inside some complete set's range, so these filters see every set
-they keep.  The walk still yields some sets that are not complete, so com
-keeps its check.
+range-maximal candidates per component), the walk is asked for complete sets:
+a branch that skips an argument the chosen set already defends is cut, since
+every complete extension holds each argument it defends (Modgil & Caminada
+2009; Nofal, Atkinson & Dunne 2014).  Every preferred and semi-stable
+extension is complete, and every admissible set's range lies inside some
+complete set's range, so these filters see every set they keep.  The walk
+still yields some sets that are not complete, so com keeps its check.
+Verifying prf needs no superset walk: an admissible set is preferred iff its
+reduct, the sub-framework outside its range, has no non-empty admissible set
+(the modularization of Baumann, Brewka & Ulbricht, AAAI 2020), so one
+unpinned admissible walk over that universe decides it.
 
 Complete, stable, preferred, semi-stable and stage extensions are built one
 weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
@@ -190,18 +193,17 @@ def _search(
     *,
     admissible: bool,
     forced_in: int = 0,
-    forced_out: int = 0,
     cover: int = 0,
-    universe: int | None = None,
+    universe: int = -1,
     complete: bool = False,
 ) -> Iterator[int]:
     """Yield conflict-free (or admissible) sets of the sub-framework on
     universe (default: every argument) as bitmasks.
 
-    forced_in/forced_out pin membership decisions; cover prunes to sets whose
-    final range includes every cover bit (cover == universe gives stable
-    candidates directly).  Yield order is search order, not canonical order:
-    ids ascending, taking an id before skipping it.
+    forced_in pins ids in; an id is pinned out by leaving it out of universe.
+    cover prunes to sets whose final range includes every cover bit (cover ==
+    universe gives stable candidates directly).  Yield order is search order,
+    not canonical order: ids ascending, taking an id before skipping it.
 
     One support rule prunes the walk, checked as a child is pushed.  hostile,
     the attackers of the chosen set, can never join it; helpers are the later
@@ -211,7 +213,8 @@ def _search(
     no helper can take (the range condition of the stable, semi-stable and
     stage encodings).  A branch with a todo argument that no helper attacks
     yields nothing and is not pushed, so the yield order is that of the plain
-    walk.  The cf walk without cover does no rule work.
+    walk.  The rule runs on every walk; a cf walk without cover never has a
+    todo argument.
 
     A take is checked over near[p], the _near_table entry of its id, which
     spans the whole relation.  On a universe it is a superset of the entry
@@ -231,14 +234,12 @@ def _search(
     remain, as an id defended only by later takes is still skipped.
     """
     table = _near_table(af)
-    if universe is None:
-        ids, outs, inns, near = range(af.n), af.out_masks, af.in_masks, table
-    else:
-        ids = _ids(universe)
-        outs = [af.out_masks[i] for i in ids]
-        inns = [af.in_masks[i] & universe for i in ids]
-        near = [table[i] for i in ids]
-        forced_in &= universe
+    universe &= af.full_mask
+    ids = _ids(universe)
+    outs = [af.out_masks[i] for i in ids]
+    inns = [af.in_masks[i] & universe for i in ids]
+    near = [table[i] for i in ids]
+    forced_in &= universe
     attackers = af.in_masks
     k = len(ids)
     bits = [1 << i for i in ids]
@@ -248,14 +249,13 @@ def _search(
     cover &= ~(forced_in | clash)
     for i in _ids(forced_in):
         clash |= attackers[i]
-    blocked = forced_out | af.self_loop_mask | clash
+    blocked = af.self_loop_mask | clash
     if forced_in & blocked:
-        return  # a pin is pinned out, attacks itself or clashes with a pin
+        return  # a pin attacks itself or clashes with a pin
     # future_in[p]: still-choosable ids from position p on
     future_in = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
         future_in[p] = future_in[p + 1] | (0 if bits[p] & blocked else bits[p])
-    track = admissible or bool(cover)
     threat = -1 if admissible else 0
 
     def supported(scope: int, q: int, chosen: int, covered: int, hostile: int) -> bool:
@@ -281,13 +281,13 @@ def _search(
         # skipping a helper shrinks the helpers of bit and its targets only;
         # a complete walk never skips an id the chosen set already defends
         if not (bit & forced_in or complete and not inns[p] & ~covered) and (
-            not (track and take) or supported(bit | out, q, chosen, covered, hostile)
+            not take or supported(bit | out, q, chosen, covered, hostile)
         ):
             stack.append((q, chosen, covered, hostile))
         if take:
             chosen, covered = chosen | bit, covered | out
-            hostile |= inns[p] if track else 0
-            if not track or supported(near[p], q, chosen, covered, hostile):
+            hostile |= inns[p]
+            if supported(near[p], q, chosen, covered, hostile):
                 stack.append((q, chosen, covered, hostile))
 
 
@@ -379,13 +379,15 @@ def _local(af: AF, sem: Semantics, c: int) -> list[int]:
 def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
     """Whether a stable extension holds forced_in and avoids forced_out.  It is
     complete, so it holds the grounded extension g and none of g's targets;
-    the rest is one stable set per weak component outside g's range."""
+    the rest is one stable set per weak component outside g's range.  The
+    pinned-out ids are cut from each component's universe but stay in its
+    cover, so a stable set of the component must still attack them."""
     g, gatt, comps = _split(af)
     if forced_in & gatt or forced_out & g:
         return False  # a component's universe would drop these pins
     return all(
-        any(_search(af, admissible=False, forced_in=forced_in, forced_out=forced_out,
-                    cover=c, universe=c))
+        any(_search(af, admissible=False, forced_in=forced_in, cover=c,
+                    universe=c & ~forced_out))
         for c in comps
     )
 
@@ -456,11 +458,10 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     if sem is Semantics.COM:
         return defended == mask
     if sem is Semantics.PRF:
-        # a non-maximal admissible set has a preferred, hence complete, strict
-        # superset, and the complete walk yields every complete superset
-        return all(
-            m == mask for m in _search(af, admissible=True, forced_in=mask, complete=True)
-        )
+        # the reduct: an admissible s is preferred iff no non-empty admissible
+        # set lies outside its range (Baumann, Brewka & Ulbricht, AAAI 2020)
+        rng = mask | _attacked_mask(af, mask)
+        return not any(_search(af, admissible=True, universe=af.full_mask & ~rng))
     if sem in (Semantics.SEM, Semantics.STG):
         # no admissible (sem) or conflict-free (stg) set has a larger range;
         # both kinds of set and their ranges split over the weak components

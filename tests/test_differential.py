@@ -351,7 +351,7 @@ def _grd_star_by_candidates(af: AF) -> ExtensionSet:
     accepts them."""
     g = _grounded_mask(af.out_masks, af.in_masks)
     candidates = _search(
-        af, admissible=False, forced_in=g, forced_out=_attacked_mask(af, g)
+        af, admissible=False, forced_in=g, universe=af.full_mask & ~_attacked_mask(af, g)
     )
     return ExtensionSet(
         af, [m for m in candidates if verify_grd_star(af, ArgSet(m, af.n))]
@@ -434,16 +434,16 @@ def test_universe_routines_match_restricted_frameworks():
 
 
 def _search_by_definition(
-    af: AF, admissible: bool, forced_in: int, forced_out: int, cover: int, universe: int
+    af: AF, admissible: bool, forced_in: int, cover: int, universe: int
 ) -> list[int]:
     """What _search yields, by testing every subset of universe: conflict-free
-    (admissible against attackers inside universe), pins respected, cover
-    inside the range; in take-first order, where at the lowest id two sets
-    differ on, the set that contains it comes first."""
+    (admissible against attackers inside universe), pins inside universe
+    respected, cover inside the range; in take-first order, where at the
+    lowest id two sets differ on, the set that contains it comes first."""
     ids = [i for i in range(af.n) if universe >> i & 1]
     found = []
     for m in range(1 << af.n):
-        if m & ~universe or m & forced_out or forced_in & universe & ~m:
+        if m & ~universe or forced_in & universe & ~m:
             continue
         targets = _attacked_mask(af, m)
         if m & targets or cover & ~(m | targets):
@@ -463,29 +463,23 @@ def test_search_matches_definition_in_yield_order():
         n = rng.randint(0, 11)
         names = [f"a{i}" for i in range(n)]
         p = rng.choice((0.1, 0.2, 0.3, 0.45))
-        # self-attacks included: they block an id as forced_out does
+        # self-attacks included: they block an id as a cut from the universe does
         af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
 
         def draw(q: float) -> int:
             return sum(1 << i for i in range(n) if rng.random() < q)
 
         for _ in range(3):
-            pins = dict(forced_in=draw(0.1), forced_out=draw(0.1))
+            forced_in, out = draw(0.1), draw(0.1)
             cover = draw(0.3) if rng.random() < 0.5 else 0
-            universe = draw(0.75) if rng.random() < 0.5 else None
+            universe = (draw(0.75) if rng.random() < 0.5 else af.full_mask) & ~out
             for admissible in (False, True):
                 got = list(
-                    _search(af, admissible=admissible, cover=cover, universe=universe, **pins)
+                    _search(af, admissible=admissible, forced_in=forced_in, cover=cover,
+                            universe=universe)
                 )
-                expected = _search_by_definition(
-                    af,
-                    admissible,
-                    pins["forced_in"],
-                    pins["forced_out"],
-                    cover,
-                    af.full_mask if universe is None else universe,
-                )
-                assert got == expected, (af.attacks, admissible, pins, cover, universe)
+                expected = _search_by_definition(af, admissible, forced_in, cover, universe)
+                assert got == expected, (af.attacks, admissible, forced_in, cover, universe)
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 4  # most calls have an order to check
@@ -550,9 +544,9 @@ def test_cf_masks_match_the_search_where_blocks_are_skipped():
 
 
 def test_search_matches_definition_on_the_support_rule_shapes():
-    """The call shapes the support rule serves: a stable walk pinned by the
-    grounded extension that lies partly outside the universe, as _local
-    calls it, and cover bits outside the universe."""
+    """The call shapes the support rule serves: a walk pinned by the grounded
+    extension, which lies partly outside the universe, on a universe without
+    its targets, and cover bits outside the universe."""
     rng = random.Random(43)
     calls = yielded = 0
     for _ in range(1200):
@@ -566,22 +560,16 @@ def test_search_matches_definition_on_the_support_rule_shapes():
         some = universe & rng.getrandbits(n) & rng.getrandbits(n)
         beyond = af.full_mask & ~universe & rng.getrandbits(n)
         shapes = [(g, gatt, universe), (0, 0, some | beyond), (g, gatt, some | beyond)]
-        for forced_in, forced_out, cover in shapes:
+        for forced_in, out, cover in shapes:
+            cut = universe & ~out
             for admissible in (False, True):
                 got = list(
                     _search(
-                        af,
-                        admissible=admissible,
-                        forced_in=forced_in,
-                        forced_out=forced_out,
-                        cover=cover,
-                        universe=universe,
+                        af, admissible=admissible, forced_in=forced_in, cover=cover, universe=cut
                     )
                 )
-                expected = _search_by_definition(
-                    af, admissible, forced_in, forced_out, cover, universe
-                )
-                assert got == expected, (af.attacks, admissible, forced_in, cover, universe)
+                expected = _search_by_definition(af, admissible, forced_in, cover, cut)
+                assert got == expected, (af.attacks, admissible, forced_in, cover, cut)
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 8  # many calls have an order to check
@@ -595,9 +583,10 @@ def _is_subsequence(part: list[int], whole: list[int]) -> bool:
 def test_complete_walk_keeps_every_complete_set_in_walk_order():
     """The complete walk against the plain admissible walk and the oracle:
     with random pins, on the whole framework and on each weak component of
-    the grounded remainder (the universes _local walks), its yields are an
-    ordered subsequence of the plain walk's and hold every complete extension
-    of the universe's sub-framework that meets the pins."""
+    the grounded remainder (the universes _local walks), each cut by a random
+    set, its yields are an ordered subsequence of the plain walk's and hold
+    every complete extension of the cut universe's sub-framework that meets
+    the pins."""
     rng = random.Random(59)
     calls = cut = 0
     for _ in range(800):
@@ -607,18 +596,17 @@ def test_complete_walk_keeps_every_complete_set_in_walk_order():
         af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
         _, _, comps = semantics._split(af)
         for universe in (af.full_mask, *comps):
-            sub, orig = restrict(af, ArgSet(universe, n))
-            complete = [_to_parent(e.mask, orig) for e in brute_force(sub, "com")]
             for _ in range(3):
                 forced_in = universe & rng.getrandbits(n) & rng.getrandbits(n)
-                forced_out = universe & rng.getrandbits(n) & rng.getrandbits(n)
-                pins = dict(forced_in=forced_in, forced_out=forced_out, universe=universe)
+                kept = universe & ~(rng.getrandbits(n) & rng.getrandbits(n))
+                sub, orig = restrict(af, ArgSet(kept, n))
+                complete = [_to_parent(e.mask, orig) for e in brute_force(sub, "com")]
+                pins = dict(forced_in=forced_in, universe=kept)
                 plain = list(_search(af, admissible=True, **pins))
                 got = list(_search(af, admissible=True, complete=True, **pins))
                 assert _is_subsequence(got, plain), (af.attacks, pins)
-                assert {
-                    m for m in complete if not forced_in & ~m and not m & forced_out
-                } <= set(got), (af.attacks, pins)
+                assert {m for m in complete if not forced_in & kept & ~m} <= set(got), (
+                    af.attacks, pins)
                 calls += 1
                 cut += len(got) < len(plain)
     assert cut >= calls // 8  # the rule often cuts something

@@ -6,6 +6,7 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afkit.bench import grid_dimensions
 from afkit.core import AF, ArgSet
 from afkit.generators import GenSpec, generate
 from afkit.resolution import verify_grd_star
@@ -140,6 +141,24 @@ def test_verify_matches_enumeration_on_random_afs():
             for bits in range(1 << af.n):
                 s = ArgSet(bits, af.n)
                 assert verify(af, sem, s) == (s in exts), (af.attacks, sem, bits)
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["grid30", "grid30+cycle"])
+def test_prf_verification_past_the_oracle(cycle):
+    """Past brute_force's n <= 20, prf verification (the reduct) against prf
+    enumeration (the complete walk's subset-maximal sets): every preferred
+    extension verifies, and a set one argument away verifies iff enumerated."""
+    rows, cols = grid_dimensions(30)
+    af = generate(GenSpec(kind="grid", n=rows, m=cols, p=0.3, seed=1))
+    if cycle:
+        af = plus_three_cycle(af)
+    preferred = enumerate_extensions(af, "prf", max_args=None)
+    assert len(preferred) == 14
+    for ext in preferred:
+        assert verify(af, "prf", ext)
+        for i in range(af.n):
+            near = ArgSet(ext.mask ^ 1 << i, af.n)
+            assert verify(af, "prf", near) == (near in preferred), (ext, i)
 
 
 # --- decision tasks ----------------------------------------------------------
