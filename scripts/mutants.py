@@ -188,15 +188,15 @@ MUTANTS = (
     Mutant(
         "hostile from the full in_masks",
         SEMANTICS,
-        "hostile |= inns[p]",
-        "hostile |= attackers[ids[p]]",
+        "hostile | inns[p]",
+        "hostile | attackers[ids[p]]",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "skip children pushed unchecked",
         SEMANTICS,
-        "not take or supported(bit | out, q, chosen, covered, hostile)",
-        "True",
+        "if not (todo and unsupported(todo, helpers)):",
+        "if True:",
         (DIFFERENTIAL,),
     ),
     Mutant(
@@ -209,8 +209,16 @@ MUTANTS = (
     Mutant(
         "skip check limited to the skipped id",
         SEMANTICS,
-        "supported(bit | out, q, chosen, covered, hostile)",
-        "supported(bit, q, chosen, covered, hostile)",
+        "todo = (bit | out) & ~covered",
+        "todo = bit & ~covered",
+        (DIFFERENTIAL,),
+    ),
+    # the take-first loop
+    Mutant(
+        "take path continues after a failed support check",
+        SEMANTICS,
+        "            if todo and unsupported(todo, helpers):\n                break\n",
+        "            if todo and unsupported(todo, helpers):\n                pass\n",
         (DIFFERENTIAL,),
     ),
     # the complete walk's defended-skip rule
@@ -310,7 +318,7 @@ MUTANTS = (
         "covering = _search(af, admissible=False, cover=rng & c, universe=c)",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
-    # the conflict-free build, ExtensionSet and per-component verification
+    # the conflict-free build, the solver's dedupe and per-component verification
     Mutant(
         "cf build takes conflicts from out_masks only",
         SEMANTICS,
@@ -340,11 +348,11 @@ MUTANTS = (
         (DIFFERENTIAL,),
     ),
     Mutant(
-        "ExtensionSet keeps repeated masks",
-        SEMANTICS,
-        "masks = sorted(set(masks))",
-        "pass",
-        ("tests/test_semantics.py",),
+        "solver keeps repeated models",
+        "src/afkit/solver.py",
+        "if mask not in seen:",
+        "if True:",
+        ("tests/test_solver.py",),
     ),
     Mutant(
         "prf reduct taken outside the set instead of its range",

@@ -73,7 +73,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from itertools import chain
-from operator import lt
 from typing import Iterable, Iterator
 
 from .core import (
@@ -109,20 +108,18 @@ class Semantics(str, Enum):
 class ExtensionSet:
     """Extensions of one framework in canonical order (ascending bitmask).
 
-    Holds only the sorted masks; ArgSets are built on iteration.  The masks
-    are sorted as given, which takes linear time on the ascending output of
-    the conflict-free build; only input with a repeat (from the solver or
-    grd_star) is deduplicated.
+    Holds only the sorted masks; ArgSets are built on iteration.  It takes
+    distinct masks in any order: every producer hands distinct ones (the
+    walks, the joins and grd_star's worklist by construction, the solver's
+    models after run_job's dedupe), so none is deduplicated here.  The sort
+    takes linear time on the ascending output of the conflict-free build.
     """
 
     __slots__ = ("af", "_masks")
 
     def __init__(self, af: AF, masks: Iterable[int]):
         self.af = af
-        masks = sorted(masks)
-        if not all(map(lt, masks, masks[1:])):
-            masks = sorted(set(masks))
-        self._masks = tuple(masks)
+        self._masks = tuple(sorted(masks))
 
     @property
     def extensions(self) -> tuple[ArgSet, ...]:
@@ -205,16 +202,24 @@ def _search(
     universe gives stable candidates directly).  Yield order is search order,
     not canonical order: ids ascending, taking an id before skipping it.
 
-    One support rule prunes the walk, checked as a child is pushed.  hostile,
-    the attackers of the chosen set, can never join it; helpers are the later
-    free ids neither covered nor hostile.  todo holds the threats, hostile
-    arguments not yet attacked (admissible walk only; the must-out rule of
-    Nofal, Atkinson & Dunne, AIJ 2014), and the cover bits out of range that
-    no helper can take (the range condition of the stable, semi-stable and
-    stage encodings).  A branch with a todo argument that no helper attacks
-    yields nothing and is not pushed, so the yield order is that of the plain
-    walk.  The rule runs on every walk; a cf walk without cover never has a
-    todo argument.
+    The walk is take-first: each pop follows its branch down, taking every id
+    it can, to a leaf (which it yields) or a dead end, and pushes only the
+    skip child of each id it takes, so a skip branch runs once the take
+    branch above it is done.  An id that cannot be taken (blocked, covered,
+    or in conflict with the chosen set) has only its skip child, which the
+    walk steps into in place, after the same pin and defended-skip checks.
+
+    One support rule prunes the walk, checked at every take and at every skip
+    child it pushes.  hostile, the attackers of the chosen set, can never join
+    it; helpers are the later free ids neither covered nor hostile.  todo
+    holds the threats, hostile arguments not yet attacked (admissible walk
+    only; the must-out rule of Nofal, Atkinson & Dunne, AIJ 2014), and the
+    cover bits out of range that no helper can take (the range condition of
+    the stable, semi-stable and stage encodings).  A branch with a todo
+    argument that no helper attacks yields nothing and is cut, so the yield
+    order is that of the plain walk.  The rule runs on every walk; a cf walk
+    without cover never has a todo argument.  Skipping an id that cannot be
+    taken leaves the helpers as they are, so such a step needs no check.
 
     A take is checked over near[p], the _near_table entry of its id, which
     spans the whole relation.  On a universe it is a superset of the entry
@@ -223,7 +228,7 @@ def _search(
     unchanged.
 
     complete (admissible walk only) asks for a walk that keeps every complete
-    set: the skip child of an id is not pushed when the chosen set already
+    set: the skip child of an id is cut when the chosen set already
     attacks each of its attackers in the universe, since every complete
     extension holds each argument it defends (the labelling rule "an argument
     whose attackers are all OUT must be IN": Modgil & Caminada, "Proof
@@ -258,37 +263,42 @@ def _search(
         future_in[p] = future_in[p + 1] | (0 if bits[p] & blocked else bits[p])
     threat = -1 if admissible else 0
 
-    def supported(scope: int, q: int, chosen: int, covered: int, hostile: int) -> bool:
-        helpers = future_in[q] & ~(covered | hostile)
-        todo = scope & ~covered & (hostile & threat | cover & ~(chosen | helpers))
+    def unsupported(todo: int, helpers: int) -> bool:
         while todo:
             low = todo & -todo
             if not attackers[low.bit_length() - 1] & helpers:
-                return False
+                return True
             todo ^= low
-        return True
+        return False
 
-    # explicit stack of (position, chosen, covered, hostile); the skip branch
-    # is pushed first so the take branch is explored first
-    stack = [(0, 0, 0, 0)] if supported(cover, 0, 0, 0, 0) else []
+    # explicit stack of skip branches (position, chosen, covered, hostile)
+    todo = cover & ~future_in[0]
+    stack = [] if todo and unsupported(todo, future_in[0]) else [(0, 0, 0, 0)]
     while stack:
         p, chosen, covered, hostile = stack.pop()
-        if p == k:
+        while p < k:
+            bit, out, q = bits[p], outs[p], p + 1
+            # a complete walk never skips an id the chosen set already defends
+            may_skip = not (bit & forced_in or complete and not inns[p] & ~covered)
+            if bit & (blocked | covered) or out & chosen:
+                if not may_skip:
+                    break
+                p = q  # an id that cannot be taken is stepped over in place
+                continue
+            if may_skip:
+                # skipping a helper shrinks the helpers of bit and its targets only
+                helpers = future_in[q] & ~(covered | hostile)
+                todo = (bit | out) & ~covered & (hostile & threat | cover & ~(chosen | helpers))
+                if not (todo and unsupported(todo, helpers)):
+                    stack.append((q, chosen, covered, hostile))
+            chosen, covered, hostile = chosen | bit, covered | out, hostile | inns[p]
+            helpers = future_in[q] & ~(covered | hostile)
+            todo = near[p] & ~covered & (hostile & threat | cover & ~(chosen | helpers))
+            if todo and unsupported(todo, helpers):
+                break
+            p = q
+        else:
             yield chosen
-            continue
-        bit, out, q = bits[p], outs[p], p + 1
-        take = not (bit & (blocked | covered) or out & chosen)
-        # skipping a helper shrinks the helpers of bit and its targets only;
-        # a complete walk never skips an id the chosen set already defends
-        if not (bit & forced_in or complete and not inns[p] & ~covered) and (
-            not take or supported(bit | out, q, chosen, covered, hostile)
-        ):
-            stack.append((q, chosen, covered, hostile))
-        if take:
-            chosen, covered = chosen | bit, covered | out
-            hostile |= inns[p]
-            if supported(near[p], q, chosen, covered, hostile):
-                stack.append((q, chosen, covered, hostile))
 
 
 def _cf_masks(af: AF, universe: int) -> list[int]:

@@ -391,6 +391,9 @@ def test_grd_star_past_the_cap():
     af = generate(GenSpec(kind="grid", n=20, m=30, p=0.3, seed=1))
     extensions = grd_star(af, max_args=None)
     assert len(extensions) > 1
+    # no oracle reaches 600 arguments: a repeated mask would go unseen
+    masks = extensions.masks()
+    assert all(a < b for a, b in zip(masks, masks[1:]))
     assert all(verify_grd_star(af, ext) for ext in extensions)
     # resolution-based grounded extensions are subset-minimal
     assert not any(a < b for a in extensions for b in extensions)

@@ -73,12 +73,13 @@ def test_grd_dispatch(af6):
 # --- ExtensionSet ------------------------------------------------------------
 
 def test_extension_set_behaviour(af6):
-    es = ExtensionSet(af6, [0b100101, 0b101001, 0b100101])
-    assert len(es) == 2
-    assert es.masks() == (0b100101, 0b101001)
+    # distinct masks in any order come out ascending
+    es = ExtensionSet(af6, [0b101001, 0b000010, 0b100101])
+    assert len(es) == 3
+    assert es.masks() == (0b000010, 0b100101, 0b101001)
     assert af6.argset(["a", "c", "f"]) in es
     assert af6.argset(["a"]) not in es
-    assert es == ExtensionSet(af6, [0b101001, 0b100101])
+    assert es == ExtensionSet(af6, [0b100101, 0b101001, 0b000010])
 
 
 def test_extension_set_public_surface(af6):
