@@ -15,8 +15,10 @@ stb on the sparse 2,000-argument ingest shape, where the search touches a
 few arguments but the tables span them all, and CA/SA grd_star on `10 linked
 pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i linking them into
 one weak component, where each query enumerates every grd_star extension.
-It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
-VER of 20 seeded conflict-free sets.  Per row it gives the minimum over 5
+VER sem and stg on `grid 25 ← 3-cycle` (see below), which has no stable
+extension, reach verify's per-component range walks, which no benchmark op
+reaches.  It asks CA/SA of each of the first 100 arguments, with
+`max_args=None`, and VER of 20 seeded conflict-free sets.  Per row it gives the minimum over 5
 passes of one pass's wall time per query, twice.  Cold runs ask each query
 of a fresh copy of the AF, as `afkit solve` does, so each pays for the search
 tables an AF builds on its first query (the copy is built off the clock).
@@ -137,7 +139,12 @@ DECIDE_ROWS = (
     ("SA sem arb 30", "SA", "sem", lambda: arb(30)),
     ("CA stg arb 30", "CA", "stg", lambda: arb(30)),
     ("SA stg arb 30", "SA", "stg", lambda: arb(30)),
+    ("VER sem grid 100 (cf sets)", "VER", "sem", lambda: grid(100)),
     ("VER stg grid 100 (cf sets)", "VER", "stg", lambda: grid(100)),
+    ("VER sem grid 25 ← 3-cycle (cf sets)", "VER", "sem",
+     lambda: plus_three_cycle(grid(25), attached=True)),
+    ("VER stg grid 25 ← 3-cycle (cf sets)", "VER", "stg",
+     lambda: plus_three_cycle(grid(25), attached=True)),
     ("SA prf grid 25", "SA", "prf", lambda: grid(25)),
     ("CA stb arb 2000, p=0.001", "CA", "stb",
      lambda: generate(GenSpec(kind="arbitrary", n=2000, p=0.001, seed=1))),

@@ -307,8 +307,8 @@ MUTANTS = (
     Mutant(
         "stg checked for admissibility",
         SEMANTICS,
-        "if sem is not Semantics.STG and mask & ~defended:",
-        "if mask & ~defended:",
+        "    if sem is not Semantics.STG:\n        defended",
+        "    if True:\n        defended",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(
@@ -318,7 +318,7 @@ MUTANTS = (
         "covering = _search(af, admissible=False, cover=rng & c, universe=c)",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
-    # the conflict-free build, the solver's dedupe and per-component verification
+    # the conflict-free build, the solver's dedupe and verify's one pass
     Mutant(
         "cf build takes conflicts from out_masks only",
         SEMANTICS,
@@ -359,6 +359,20 @@ MUTANTS = (
         SEMANTICS,
         "universe=af.full_mask & ~rng))",
         "universe=af.full_mask & ~mask))",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "conflict test dropped",
+        SEMANTICS,
+        "if attacked & mask:",
+        "if False:",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "range without the set itself",
+        SEMANTICS,
+        "rng = mask | attacked",
+        "rng = attacked",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(

@@ -53,7 +53,11 @@ does; sem/stg switch to stb only when the whole framework has a stable
 extension, and otherwise fall back to the range-maximal filters.  Verification
 checks range-maximality per weak component: a component the set is stable on
 passes, one with a stable set of its own fails, and only the others are
-walked.
+walked.  It runs down the semantics once, cheapest test first: one attacked
+set gives the conflict-free test and the range, which decides stb; every
+semantics but stg then tests admissibility (a stable set is admissible, so
+this only moves sem's False earlier), and only sem and stg go on to the
+stable checks and the walks.
 
 Each AF keeps two search tables, built by its first query that needs them
 and read by every later one, so many short queries of one framework pay for
@@ -82,7 +86,6 @@ from .core import (
     _char_mask,
     _grounded_mask,
     _ids,
-    is_conflict_free,
 )
 
 DEFAULT_SEARCH_CAP = 26
@@ -207,7 +210,12 @@ def _search(
     skip child of each id it takes, so a skip branch runs once the take
     branch above it is done.  An id that cannot be taken (blocked, covered,
     or in conflict with the chosen set) has only its skip child, which the
-    walk steps into in place, after the same pin and defended-skip checks.
+    walk steps into in place with no pin or defended-skip check, since
+    neither can cut it.  Every pin is takeable, as its attackers and targets
+    are blocked.  A covered id, a self-attacker and a pin's target each have
+    an attacker the chosen set does not counter (a chosen id, itself, the
+    pin), and a threat keeps one among the helpers by the support rule; a
+    pin's attacker that the chosen set defends is cut at the pin's take.
 
     One support rule prunes the walk, checked at every take and at every skip
     child it pushes.  hostile, the attackers of the chosen set, can never join
@@ -278,14 +286,11 @@ def _search(
         p, chosen, covered, hostile = stack.pop()
         while p < k:
             bit, out, q = bits[p], outs[p], p + 1
-            # a complete walk never skips an id the chosen set already defends
-            may_skip = not (bit & forced_in or complete and not inns[p] & ~covered)
             if bit & (blocked | covered) or out & chosen:
-                if not may_skip:
-                    break
                 p = q  # an id that cannot be taken is stepped over in place
                 continue
-            if may_skip:
+            # a complete walk never skips an id the chosen set already defends
+            if not (bit & forced_in or complete and not inns[p] & ~covered):
                 # skipping a helper shrinks the helpers of bit and its targets only
                 helpers = future_in[q] & ~(covered | hostile)
                 todo = (bit | out) & ~covered & (hostile & threat | cover & ~(chosen | helpers))
@@ -450,41 +455,41 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
         from . import resolution
 
         return resolution.verify_grd_star(af, s)
-    if not is_conflict_free(af, s):
-        return False
+    attacked = _attacked_mask(af, mask)
+    if attacked & mask:
+        return False  # not conflict-free
     if sem is Semantics.CF:
         return True
-    if sem in (Semantics.STB, Semantics.SEM, Semantics.STG):
-        rng = mask | _attacked_mask(af, mask)
-        if rng == af.full_mask:
-            return True  # stable, hence semi-stable and stage
-        if sem is Semantics.STB or _has_stable(af):
+    rng = mask | attacked
+    if sem is Semantics.STB:
+        return rng == af.full_mask
+    if sem is not Semantics.STG:
+        defended = _char_mask(af, mask)
+        if mask & ~defended:
+            return False  # not admissible
+        if sem is Semantics.ADM:
+            return True
+        if sem is Semantics.COM:
+            return defended == mask
+        if sem is Semantics.PRF:
+            # the reduct: an admissible s is preferred iff no non-empty admissible
+            # set lies outside its range (Baumann, Brewka & Ulbricht, AAAI 2020)
+            return not any(_search(af, admissible=True, universe=af.full_mask & ~rng))
+    if rng == af.full_mask:
+        return True  # stable, hence semi-stable and stage
+    if _has_stable(af):
+        return False
+    # no admissible (sem) or conflict-free (stg) set has a larger range; both
+    # kinds of set and their ranges split over the weak components
+    for c in _weak_component_masks(af):
+        if rng & c == c:
+            continue  # s is stable on c
+        if any(_search(af, admissible=False, cover=c, universe=c)):
+            return False  # a stable set of c has a larger range there
+        covering = _search(af, admissible=sem is Semantics.SEM, cover=rng & c, universe=c)
+        if any(m | _attacked_mask(af, m) != rng & c for m in covering):
             return False
-    defended = _char_mask(af, mask)
-    if sem is not Semantics.STG and mask & ~defended:
-        return False  # not admissible
-    if sem is Semantics.ADM:
-        return True
-    if sem is Semantics.COM:
-        return defended == mask
-    if sem is Semantics.PRF:
-        # the reduct: an admissible s is preferred iff no non-empty admissible
-        # set lies outside its range (Baumann, Brewka & Ulbricht, AAAI 2020)
-        rng = mask | _attacked_mask(af, mask)
-        return not any(_search(af, admissible=True, universe=af.full_mask & ~rng))
-    if sem in (Semantics.SEM, Semantics.STG):
-        # no admissible (sem) or conflict-free (stg) set has a larger range;
-        # both kinds of set and their ranges split over the weak components
-        for c in _weak_component_masks(af):
-            if rng & c == c:
-                continue  # s is stable on c
-            if any(_search(af, admissible=False, cover=c, universe=c)):
-                return False  # a stable set of c has a larger range there
-            covering = _search(af, admissible=sem is Semantics.SEM, cover=rng & c, universe=c)
-            if any(m | _attacked_mask(af, m) != rng & c for m in covering):
-                return False
-        return True
-    raise ValueError(f"unhandled semantics {sem!r}")
+    return True
 
 
 def credulous(
@@ -587,19 +592,14 @@ def brute_force(af: AF, semantics: Semantics | str) -> ExtensionSet:
         chosen = cf_sets
     elif sem is Semantics.ADM:
         chosen = adm_sets
-    elif sem is Semantics.COM:
+    elif sem in (Semantics.COM, Semantics.GRD):
         chosen = [
             s
             for s in cf_sets
             if frozenset(x for x in universe if defended(s, x)) == s
         ]
-    elif sem is Semantics.GRD:
-        com = [
-            s
-            for s in cf_sets
-            if frozenset(x for x in universe if defended(s, x)) == s
-        ]
-        chosen = [s for s in com if not any(t < s for t in com)]
+        if sem is Semantics.GRD:
+            chosen = [s for s in chosen if not any(t < s for t in chosen)]
     elif sem is Semantics.STB:
         chosen = [s for s in cf_sets if rng(s) == universe]
     elif sem is Semantics.PRF:

@@ -47,9 +47,9 @@ def test_native_run_ok():
 
 
 def test_timeout_is_booked_at_the_limit():
-    # the 534,496 conflict-free sets of a sparse 26-argument instance take
-    # far longer than the 50 ms limit to enumerate
-    spec = GenSpec(kind="arbitrary", n=26, p=0.05, seed=1)
+    # enumerating the conflict-free sets of a 6x10 grid takes seconds, far
+    # longer than the 50 ms limit; the child is killed at the limit
+    spec = GenSpec(kind="grid", n=6, m=10, p=0.3, seed=1)
     record = run_one(spec, "cf", "native", timeout=0.05)
     assert record.status == "timeout"
     assert record.time_ms == pytest.approx(50.0)

@@ -190,6 +190,44 @@ def test_verify_walks_ranges_only_on_the_cycle(spec, monkeypatch):
             assert set(walks) <= {cycle}, (sem, s)
 
 
+def test_verify_asks_the_cheap_tests_first(af6, monkeypatch):
+    """verify runs down the semantics once: cf and stb answer from the range
+    alone, and every semantics but stg tests admissibility before any walk,
+    so a set that is conflict-free but not admissible costs no search; stg
+    never builds the characteristic function."""
+    calls = []
+    search, char_mask = semantics._search, semantics._char_mask
+
+    def record_search(af_, **kwargs):
+        calls.append("_search")
+        return search(af_, **kwargs)
+
+    def record_char_mask(af_, mask):
+        calls.append("_char_mask")
+        return char_mask(af_, mask)
+
+    monkeypatch.setattr(semantics, "_search", record_search)
+    monkeypatch.setattr(semantics, "_char_mask", record_char_mask)
+    assert brute_force(af6, "stb")  # af6 has a stable extension
+    b = af6.argset(["b"])  # conflict-free, but nothing counters a -> b
+    for sem, answer, asked in (
+        ("cf", True, []),
+        ("stb", False, []),
+        ("adm", False, ["_char_mask"]),
+        ("com", False, ["_char_mask"]),
+        ("prf", False, ["_char_mask"]),
+        ("sem", False, ["_char_mask"]),
+    ):
+        calls.clear()
+        assert verify(af6, sem, b) is answer, sem
+        assert calls == asked, sem
+    af = plus_three_cycle(af6)  # no stable extension
+    for s in (af.argset(["b"]), af.argset(["a", "c", "f", "z0"])):
+        calls.clear()
+        assert verify(af, "stg", s) is (s in brute_force(af, "stg"))
+        assert "_char_mask" not in calls, s
+
+
 def test_stage_splits_a_component_over_its_grounded_remainder(monkeypatch):
     """On one weak component with a stable extension, stage finds its stable
     sets as stb does: one search per component of the grounded remainder."""
