@@ -15,10 +15,10 @@ stb on the sparse 2,000-argument ingest shape, where the search touches a
 few arguments but the tables span them all, and CA/SA grd_star on `10 linked
 pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i linking them into
 one weak component, where each query enumerates every grd_star extension.
-VER sem and stg on `grid 25 ← 3-cycle` (see below), which has no stable
-extension, reach verify's per-component range walks, which no benchmark op
-reaches.  It asks CA/SA of each of the first 100 arguments, with
-`max_args=None`, and VER of 20 seeded conflict-free sets.  Per row it gives the minimum over 5
+VER stg on `grid 25 ← 3-cycle` (see below), which has no stable extension,
+reaches verify's per-component range walks, which no benchmark op reaches.
+It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
+VER of 20 seeded conflict-free sets.  Per row it gives the minimum over 5
 passes of one pass's wall time per query, twice.  Cold runs ask each query
 of a fresh copy of the AF, as `afkit solve` does, so each pays for the search
 tables an AF builds on its first query (the copy is built off the clock).
