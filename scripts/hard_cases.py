@@ -18,7 +18,9 @@ one weak component, where each query enumerates every grd_star extension.
 VER stg on `grid 25 ← 3-cycle` (see below), which has no stable extension,
 reaches verify's per-component range walks, which no benchmark op reaches.
 It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
-VER of 20 seeded conflict-free sets.  Per row it gives the minimum over 5
+VER of 20 seeded sets: conflict-free ones, or, in the `(adm sets)` rows,
+admissible ones, which get past verify sem's admissibility test to its
+stable checks and, on `grid 25 ← 3-cycle`, its range walks.  Per row it gives the minimum over 5
 passes of one pass's wall time per query, twice.  Cold runs ask each query
 of a fresh copy of the AF, as `afkit solve` does, so each pays for the search
 tables an AF builds on its first query (the copy is built off the clock).
@@ -63,7 +65,7 @@ from afkit import (  # noqa: E402
     verify,
 )
 from afkit.bench import grid_dimensions  # noqa: E402
-from afkit.core import _grounded_mask, parse_apx, serialize_apx  # noqa: E402
+from afkit.core import _char_mask, _grounded_mask, parse_apx, serialize_apx  # noqa: E402
 
 SEMANTICS = ("cf", "com", "stb", "prf", "sem", "stg", "grd_star")
 RUNS = 3
@@ -141,7 +143,10 @@ DECIDE_ROWS = (
     ("SA stg arb 30", "SA", "stg", lambda: arb(30)),
     ("VER sem grid 100 (cf sets)", "VER", "sem", lambda: grid(100)),
     ("VER stg grid 100 (cf sets)", "VER", "stg", lambda: grid(100)),
+    ("VER sem grid 100 (adm sets)", "VER", "sem", lambda: grid(100)),
     ("VER sem grid 25 ← 3-cycle (cf sets)", "VER", "sem",
+     lambda: plus_three_cycle(grid(25), attached=True)),
+    ("VER sem grid 25 ← 3-cycle (adm sets)", "VER", "sem",
      lambda: plus_three_cycle(grid(25), attached=True)),
     ("VER stg grid 25 ← 3-cycle (cf sets)", "VER", "stg",
      lambda: plus_three_cycle(grid(25), attached=True)),
@@ -237,6 +242,27 @@ def cf_sets(af: AF, count: int = 20) -> list[ArgSet]:
     return sets
 
 
+def adm_sets(af: AF, count: int = 20) -> list[ArgSet]:
+    """count seeded admissible sets, each grown greedily over the ids in a
+    shuffled order: an id joins when the set stays conflict-free and inside
+    its own _char_mask, and the passes repeat until no id joins."""
+    rng = random.Random(1)
+    sets = []
+    for _ in range(count):
+        ids = list(range(af.n))
+        rng.shuffle(ids)
+        mask, grown = 0, True
+        while grown:
+            grown = False
+            for i in ids:
+                more = mask | 1 << i
+                if (more != mask and not (af.out_masks[i] | af.in_masks[i]) & more
+                        and not more & ~_char_mask(af, more)):
+                    mask, grown = more, True
+        sets.append(ArgSet(mask, af.n))
+    return sets
+
+
 def decide_table() -> None:
     print("| query | queries | cold, per query | warm, per query | cold / warm |")
     print("|---" * 5 + "|")
@@ -245,7 +271,7 @@ def decide_table() -> None:
         names = [a.name for a in af.args]
         attacks = [(names[a], names[b]) for a, b in af.attacks]
         if task == "VER":
-            queries = cf_sets(af)
+            queries = adm_sets(af) if label.endswith("(adm sets)") else cf_sets(af)
             ask = lambda af_, s: verify(af_, sem, s)
         else:
             queries = list(range(min(af.n, 100)))

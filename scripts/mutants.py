@@ -221,12 +221,26 @@ MUTANTS = (
         "            if todo and unsupported(todo, helpers):\n                pass\n",
         (DIFFERENTIAL,),
     ),
-    # the complete walk's defended-skip rule
+    # the complete walk's defended-skip rule and leaf test
     Mutant(
         "complete walk without the defended-skip rule",
         SEMANTICS,
         "bit & forced_in or complete and not inns[p] & ~covered",
         "bit & forced_in",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "complete walk without the leaf test",
+        SEMANTICS,
+        "if not (complete and _defends_left_out(attackers, universe, chosen, covered)):",
+        "if True:",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "leaf test counts attackers outside the universe",
+        SEMANTICS,
+        "if not attackers[low.bit_length() - 1] & uncountered:",
+        "if not attackers[low.bit_length() - 1] & ~covered:",
         (DIFFERENTIAL,),
     ),
     Mutant(
@@ -254,19 +268,20 @@ MUTANTS = (
     Mutant(
         "near table kept on the class",
         SEMANTICS,
-        "    if af._near is None:\n"
-        "        out, inn = af.out_masks, af.in_masks\n"
-        "        af._near = tuple(\n"
-        "            inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i]) for i in range(af.n)\n"
-        "        )\n"
-        "    return af._near",
-        "    if getattr(AF, '_near', None) is None:\n"
-        "        out, inn = af.out_masks, af.in_masks\n"
-        "        AF._near = tuple(\n"
-        "            inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i]) for i in range(af.n)\n"
-        "        )\n"
-        "    return AF._near",
+        "    table = af._near\n"
+        "    if table is None:\n"
+        "        table = af._near = [None] * af.n\n",
+        "    table = getattr(AF, '_near', None)\n"
+        "    if table is None:\n"
+        "        table = AF._near = [None] * af.n\n",
         (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "near entries not kept on the AF",
+        SEMANTICS,
+        "near[j] = table[i] = inn[i]",
+        "near[j] = inn[i]",
+        (CORE_TESTS,),
     ),
     Mutant(
         "split without the grounded extension's targets",

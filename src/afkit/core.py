@@ -138,9 +138,10 @@ class AF:
     an AF allocates no object per argument or per attack.  Two search tables
     are derived lazily too, by the semantics module on the first query that
     needs them, and serve every later query on the same AF: _near, the
-    support rule's scope per id (semantics._near_table), and _split, the
-    grounded extension, its targets and the weak components of what lies
-    outside its range (semantics._split).  All four are cached in attributes
+    support rule's scope per id (semantics._near_table, an entry filled on
+    its id's first search), and _split, the grounded extension, its targets
+    and the weak components of what lies outside its range
+    (semantics._split).  All four are cached in attributes
     that __init__ sets to None, not by functools.cached_property: that
     writes through the instance __dict__, and on CPython 3.11 every later
     attribute load on the AF (out_masks in the search, for one) then takes
@@ -175,7 +176,7 @@ class AF:
         self.self_loop_mask = loops
         self._args: tuple[Argument, ...] | None = None
         self._attacks: tuple[tuple[int, int], ...] | None = None
-        self._near: tuple[int, ...] | None = None
+        self._near: list[int | None] | None = None
         self._split: tuple[int, int, tuple[int, ...]] | None = None
 
     @property

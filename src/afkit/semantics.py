@@ -18,13 +18,14 @@ sets whose highest id it conflicts with, and the sets come out in ascending
 order, which ExtensionSet sorts in linear time.
 
 Where the answer depends only on complete sets (com, prf and sem's
-range-maximal candidates per component), the walk is asked for complete sets:
-a branch that skips an argument the chosen set already defends is cut, since
-every complete extension holds each argument it defends (Modgil & Caminada
-2009; Nofal, Atkinson & Dunne 2014).  Every preferred and semi-stable
-extension is complete, and every admissible set's range lies inside some
-complete set's range, so these filters see every set they keep.  The walk
-still yields some sets that are not complete, so com keeps its check.
+range-maximal candidates per component), the walk is asked for complete sets
+and yields exactly those: a branch that skips an argument the chosen set
+already defends is cut, since every complete extension holds each argument it
+defends (Modgil & Caminada 2009; Nofal, Atkinson & Dunne 2014), and a leaf
+that defends an argument it left out, one defended only by later takes, is
+dropped.  Every preferred and semi-stable extension is complete, and every
+admissible set's range lies inside some complete set's range, so these
+filters see every set they keep, and com takes the walk's yields as they are.
 Verifying prf needs no superset walk: an admissible set is preferred iff its
 reduct, the sub-framework outside its range, has no non-empty admissible set
 (the modularization of Baumann, Brewka & Ulbricht, AAAI 2020), so one
@@ -59,14 +60,15 @@ semantics but stg then tests admissibility (a stable set is admissible, so
 this only moves sem's False earlier), and only sem and stg go on to the
 stable checks and the walks.
 
-Each AF keeps two search tables, built by its first query that needs them
-and read by every later one, so many short queries of one framework pay for
-them once: _near_table, the support rule's scope per id over the whole
-relation (a universe's search reads its ids' entries), and _split, the
-grounded extension, its targets and the weak components of what lies outside
-its range.  No answer is cached.  Grounded-only answers (grd, and skeptical
-com) compute the grounded extension alone, so a one-off grounded query of a
-large framework does not pay for the component walk.
+Each AF keeps two search tables, built by the queries that need them and
+read by every later one, so many short queries of one framework pay for them
+once: _near_table, the support rule's scope per id over the whole relation,
+whose entry for an id is filled by the first search of a universe holding it,
+and _split, the grounded extension, its targets and the weak components of
+what lies outside its range, built whole on first use.  No answer is cached.
+Grounded-only answers (grd, and skeptical com) compute the grounded extension
+alone, so a one-off grounded query of a large framework does not pay for the
+component walk.
 
 brute_force is the deliberately naive oracle: literal definitions evaluated
 over all subsets with frozenset algebra, sharing no search code with the
@@ -163,17 +165,22 @@ def grounded(af: AF) -> ArgSet:
     return ArgSet(_grounded_mask(af.out_masks, af.in_masks), af.n)
 
 
-def _near_table(af: AF) -> tuple[int, ...]:
-    """near[i], where taking id i can break _search's support rule: its
-    attackers, and the targets of the helpers taking it removes (i itself, its
-    targets, its attackers).  It depends on the attack relation alone, so it
-    is built over the whole framework on first use and kept on the AF."""
-    if af._near is None:
+def _near_table(af: AF, ids: list[int]) -> list[int]:
+    """near[i] for each id i of ids, where taking i can break _search's
+    support rule: its attackers, and the targets of the helpers taking it
+    removes (i itself, its targets, its attackers).  It depends on the attack
+    relation alone, so the AF keeps one entry per id, filled on the id's first
+    use: a search of a few ids of a large framework pays for those alone."""
+    table = af._near
+    if table is None:
+        table = af._near = [None] * af.n
+    near = [table[i] for i in ids]
+    if None in near:
         out, inn = af.out_masks, af.in_masks
-        af._near = tuple(
-            inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i]) for i in range(af.n)
-        )
-    return af._near
+        for j, i in enumerate(ids):
+            if near[j] is None:
+                near[j] = table[i] = inn[i] | _attacked_mask(af, (1 << i) | out[i] | inn[i])
+    return near
 
 
 def _split(af: AF) -> tuple[int, int, tuple[int, ...]]:
@@ -235,23 +242,22 @@ def _search(
     rule still cuts only branches that yield nothing, and the yield order is
     unchanged.
 
-    complete (admissible walk only) asks for a walk that keeps every complete
-    set: the skip child of an id is cut when the chosen set already
+    complete (admissible walk only) asks for the complete sets of the
+    universe's sub-framework that meet the pins, in the plain admissible
+    walk's order.  The skip child of an id is cut when the chosen set already
     attacks each of its attackers in the universe, since every complete
     extension holds each argument it defends (the labelling rule "an argument
     whose attackers are all OUT must be IN": Modgil & Caminada, "Proof
     theories and algorithms for abstract argumentation frameworks", 2009;
-    Nofal, Atkinson & Dunne, AIJ 2014).  The yields are then an ordered
-    subsequence of the plain admissible walk that holds every complete set of
-    the universe's sub-framework meeting the pins; some non-complete sets
-    remain, as an id defended only by later takes is still skipped.
+    Nofal, Atkinson & Dunne, AIJ 2014).  That cut only prunes: an id defended
+    only by later takes is still skipped, so each leaf also runs
+    _defends_left_out and is dropped when it defends an id it left out.
     """
-    table = _near_table(af)
     universe &= af.full_mask
     ids = _ids(universe)
     outs = [af.out_masks[i] for i in ids]
     inns = [af.in_masks[i] & universe for i in ids]
-    near = [table[i] for i in ids]
+    near = _near_table(af, ids)
     forced_in &= universe
     attackers = af.in_masks
     k = len(ids)
@@ -303,7 +309,25 @@ def _search(
                 break
             p = q
         else:
-            yield chosen
+            if not (complete and _defends_left_out(attackers, universe, chosen, covered)):
+                yield chosen
+
+
+def _defends_left_out(
+    attackers: tuple[int, ...], universe: int, chosen: int, covered: int
+) -> bool:
+    """Whether the admissible set chosen, whose targets are covered, defends
+    an id of universe it leaves out, one whose attackers in universe are all
+    covered; a complete set defends none.  Only the ids outside chosen's range
+    are asked: a conflict-free set defends no id it attacks."""
+    uncountered = universe & ~covered
+    rest = uncountered & ~chosen
+    while rest:
+        low = rest & -rest
+        if not attackers[low.bit_length() - 1] & uncountered:
+            return True
+        rest ^= low
+    return False
 
 
 def _cf_masks(af: AF, universe: int) -> list[int]:
@@ -366,16 +390,13 @@ def _join(af: AF, sem: Semantics, base: int, comps: Iterable[int]) -> list[int]:
 
 
 def _local(af: AF, sem: Semantics, c: int) -> list[int]:
-    """sem's extensions of the weak component c, as masks inside c."""
+    """sem's extensions of the weak component c, as masks inside c.  com's
+    are the complete walk's yields, prf's the subset-maximal ones among them."""
+    if sem is Semantics.COM:
+        return list(_search(af, admissible=True, universe=c, complete=True))
     if sem is Semantics.PRF:
         return _subset_maximal(_search(af, admissible=True, universe=c, complete=True))
     g, _, comps = _split(af)
-    if sem is Semantics.COM:
-        return [
-            m
-            for m in _search(af, admissible=True, universe=c, complete=True)
-            if _char_mask(af, g | m) & c == m
-        ]
     if sem is Semantics.STG:
         # c's stable sets split over what lies outside g's range, as stb's
         # do: the remainder's components inside c

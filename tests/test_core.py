@@ -144,7 +144,8 @@ def test_equality_and_repr_read_the_masks_only():
 
 def test_near_table_matches_its_definition():
     """near[i]: i's attackers, and every target of i, of i's targets and of
-    i's attackers, over the whole relation; built once and kept."""
+    i's attackers, over the whole relation; each entry filled on its id's
+    first use and kept."""
     rng = random.Random(29)
     for _ in range(300):
         n = rng.randint(0, 12)
@@ -160,9 +161,12 @@ def test_near_table_matches_its_definition():
             attackers = {a for a, b in pairs if b == i}
             near = attackers | targets({i} | targets({i}) | attackers)
             expected.append(sum(1 << x for x in near))
-        table = _near_table(af)
-        assert table == tuple(expected), pairs
-        assert _near_table(af) is table
+        some = [i for i in range(n) if rng.random() < 0.5]
+        assert _near_table(af, some) == [expected[i] for i in some], pairs
+        table = af._near
+        assert [i for i in range(n) if table[i] is not None] == some
+        assert _near_table(af, list(range(n))) == expected, pairs
+        assert af._near is table and table == expected
 
 
 def test_parse_and_build_leave_the_search_tables_unbuilt(af6):
@@ -175,9 +179,11 @@ def test_parse_and_build_leave_the_search_tables_unbuilt(af6):
     assert parsed._near is None and parsed._split is None
     assert credulous(parsed, "stb", "a")
     near, split = parsed._near, parsed._split
-    assert near == _near_table(af6) and split == _split(af6)
+    assert split == _split(af6)
     # {a}, its target b, and the one component c, d, e, f outside that range
     assert split == (0b000001, 0b000010, (0b111100,))
+    # the stable search walked that component alone, so only its ids have entries
+    assert near == [None, None, *_near_table(af6, [2, 3, 4, 5])]
     assert credulous(parsed, "stb", "e") is False  # c or d attacks it
     assert parsed._near is near and parsed._split is split
 

@@ -33,9 +33,10 @@ universe in both modes, and with the shapes its support rule serves: the
 grounded pins of a stable walk partly outside the universe, and cover bits
 outside it.  The conflict-free build _cf_masks against _search, sorted: the
 same sets, in ascending order, also where it skips whole blocks of sets.  The
-complete walk against the plain admissible walk, whose yields it must keep in
-order, and against brute_force's complete extensions, which it must all
-yield; a pinned yield count on one grid fails if its rule is dropped.
+complete walk against the plain admissible walk and brute_force: it must
+yield exactly the complete extensions, in the plain walk's order; a pinned
+leaf count on one grid fails if its defended-skip rule is dropped, and a call
+recorder checks that com enumeration builds no characteristic function.
 """
 from __future__ import annotations
 
@@ -616,18 +617,12 @@ def test_search_matches_definition_on_the_support_rule_shapes():
     assert yielded >= calls // 8  # many calls have an order to check
 
 
-def _is_subsequence(part: list[int], whole: list[int]) -> bool:
-    rest = iter(whole)
-    return all(m in rest for m in part)
-
-
 def test_complete_walk_keeps_every_complete_set_in_walk_order():
     """The complete walk against the plain admissible walk and the oracle:
     with random pins, on the whole framework and on each weak component of
     the grounded remainder (the universes _local walks), each cut by a random
-    set, its yields are an ordered subsequence of the plain walk's and hold
-    every complete extension of the cut universe's sub-framework that meets
-    the pins."""
+    set, it yields exactly the complete extensions of the cut universe's
+    sub-framework that meet the pins, in the plain walk's order."""
     rng = random.Random(59)
     calls = cut = 0
     for _ in range(800):
@@ -641,27 +636,54 @@ def test_complete_walk_keeps_every_complete_set_in_walk_order():
                 forced_in = universe & rng.getrandbits(n) & rng.getrandbits(n)
                 kept = universe & ~(rng.getrandbits(n) & rng.getrandbits(n))
                 sub, orig = restrict(af, ArgSet(kept, n))
-                complete = [_to_parent(e.mask, orig) for e in brute_force(sub, "com")]
+                complete = {_to_parent(e.mask, orig) for e in brute_force(sub, "com")}
                 pins = dict(forced_in=forced_in, universe=kept)
                 plain = list(_search(af, admissible=True, **pins))
                 got = list(_search(af, admissible=True, complete=True, **pins))
-                assert _is_subsequence(got, plain), (af.attacks, pins)
-                assert {m for m in complete if not forced_in & kept & ~m} <= set(got), (
+                assert got == [m for m in plain if m in complete], (af.attacks, pins)
+                assert set(got) == {m for m in complete if not forced_in & kept & ~m}, (
                     af.attacks, pins)
                 calls += 1
                 cut += len(got) < len(plain)
-    assert cut >= calls // 8  # the rule often cuts something
+    assert cut >= calls // 8  # the walk often drops something
 
 
-def test_complete_walk_yield_count_on_a_grid():
+def test_complete_walk_yield_count_on_a_grid(monkeypatch):
     """On grid 30's grounded remainder (one 24-argument component), the
-    complete walk yields 772 of the plain walk's 3,052 admissible sets, and
-    the com filter keeps 79 of them; a walk without its defended-skip rule
-    yields all 3,052."""
+    complete walk reaches 772 leaves, of the plain walk's 3,052 admissible
+    sets, and yields the 79 complete sets among them; a walk without its
+    defended-skip rule reaches all 3,052."""
     af = generate(GenSpec(kind="grid", n=5, m=6, p=0.3, seed=1))
     _, _, comps = semantics._split(af)
     assert len(comps) == 1
     (c,) = comps
+    leaves = []
+    leaf_test = semantics._defends_left_out
+
+    def record_leaf(*args):
+        leaves.append(args)
+        return leaf_test(*args)
+
+    monkeypatch.setattr(semantics, "_defends_left_out", record_leaf)
     assert sum(1 for _ in _search(af, admissible=True, universe=c)) == 3052
-    assert sum(1 for _ in _search(af, admissible=True, universe=c, complete=True)) == 772
-    assert len(semantics._local(af, semantics.Semantics.COM, c)) == 79
+    assert not leaves  # the plain walk runs no leaf test
+    assert sum(1 for _ in _search(af, admissible=True, universe=c, complete=True)) == 79
+    assert len(leaves) == 772
+
+
+def test_complete_enumeration_builds_no_characteristic_function(monkeypatch):
+    """com EE returns the complete walk's yields as they are: it never builds
+    the characteristic function to filter them."""
+    calls = []
+    char_mask = semantics._char_mask
+
+    def record_char_mask(af_, mask):
+        calls.append(mask)
+        return char_mask(af_, mask)
+
+    monkeypatch.setattr(semantics, "_char_mask", record_char_mask)
+    for spec in INSTANCES:
+        assert enumerate_extensions(generate(spec), "com")
+    af = generate(GenSpec(kind="grid", n=5, m=6, p=0.3, seed=1))
+    assert len(enumerate_extensions(af, "com", max_args=None)) == 79
+    assert calls == []
