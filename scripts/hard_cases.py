@@ -18,9 +18,13 @@ one weak component, where each query enumerates every grd_star extension.
 VER stg on `grid 25 ← 3-cycle` (see below), which has no stable extension,
 reaches verify's per-component range walks, which no benchmark op reaches.
 It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
-VER of 20 seeded sets: conflict-free ones, or, in the `(adm sets)` rows,
+VER of 20 seeded sets: conflict-free ones, or, in the `adm sets` rows,
 admissible ones, which get past verify sem's admissibility test to its
-stable checks and, on `grid 25 ← 3-cycle`, its range walks.  Per row it gives the minimum over 5
+stable checks and, on `grid 25 ← 3-cycle`, its range walks.  On grid 100 the
+admissible sets grow over the lower half of the ids only, since grown over
+all of them they come out stable and verify answers before `_has_stable`;
+the script checks, off the clock, that every query of an `adm sets` row
+calls `semantics._has_stable`, and stops if one does not.  Per row it gives the minimum over 5
 passes of one pass's wall time per query, twice.  Cold runs ask each query
 of a fresh copy of the AF, as `afkit solve` does, so each pays for the search
 tables an AF builds on its first query (the copy is built off the clock).
@@ -64,6 +68,7 @@ from afkit import (  # noqa: E402
     skeptical,
     verify,
 )
+from afkit import semantics  # noqa: E402
 from afkit.bench import grid_dimensions  # noqa: E402
 from afkit.core import _char_mask, _grounded_mask, parse_apx, serialize_apx  # noqa: E402
 
@@ -143,7 +148,7 @@ DECIDE_ROWS = (
     ("SA stg arb 30", "SA", "stg", lambda: arb(30)),
     ("VER sem grid 100 (cf sets)", "VER", "sem", lambda: grid(100)),
     ("VER stg grid 100 (cf sets)", "VER", "stg", lambda: grid(100)),
-    ("VER sem grid 100 (adm sets)", "VER", "sem", lambda: grid(100)),
+    ("VER sem grid 100 (lower-half adm sets)", "VER", "sem", lambda: grid(100)),
     ("VER sem grid 25 ← 3-cycle (cf sets)", "VER", "sem",
      lambda: plus_three_cycle(grid(25), attached=True)),
     ("VER sem grid 25 ← 3-cycle (adm sets)", "VER", "sem",
@@ -242,14 +247,15 @@ def cf_sets(af: AF, count: int = 20) -> list[ArgSet]:
     return sets
 
 
-def adm_sets(af: AF, count: int = 20) -> list[ArgSet]:
-    """count seeded admissible sets, each grown greedily over the ids in a
-    shuffled order: an id joins when the set stays conflict-free and inside
-    its own _char_mask, and the passes repeat until no id joins."""
+def adm_sets(af: AF, count: int = 20, span: int | None = None) -> list[ArgSet]:
+    """count seeded admissible sets, each grown greedily over the ids below
+    span (all of them by default) in a shuffled order: an id joins when the
+    set stays conflict-free and inside its own _char_mask, and the passes
+    repeat until no id joins."""
     rng = random.Random(1)
     sets = []
     for _ in range(count):
-        ids = list(range(af.n))
+        ids = list(range(af.n if span is None else span))
         rng.shuffle(ids)
         mask, grown = 0, True
         while grown:
@@ -263,6 +269,26 @@ def adm_sets(af: AF, count: int = 20) -> list[ArgSet]:
     return sets
 
 
+def reaches_has_stable(af: AF, sem: str, sets: list[ArgSet]) -> bool:
+    """Whether verify(af, sem, s) calls semantics._has_stable for every s."""
+    real, calls = semantics._has_stable, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    semantics._has_stable = counted
+    try:
+        for s in sets:
+            before = len(calls)
+            verify(af, sem, s)
+            if len(calls) == before:
+                return False
+    finally:
+        semantics._has_stable = real
+    return True
+
+
 def decide_table() -> None:
     print("| query | queries | cold, per query | warm, per query | cold / warm |")
     print("|---" * 5 + "|")
@@ -271,7 +297,12 @@ def decide_table() -> None:
         names = [a.name for a in af.args]
         attacks = [(names[a], names[b]) for a, b in af.attacks]
         if task == "VER":
-            queries = adm_sets(af) if label.endswith("(adm sets)") else cf_sets(af)
+            if "adm sets" in label:
+                queries = adm_sets(af, span=af.n // 2 if "lower-half" in label else None)
+                if not reaches_has_stable(af, sem, queries):
+                    sys.exit(f"{label}: a query does not reach _has_stable")
+            else:
+                queries = cf_sets(af)
             ask = lambda af_, s: verify(af_, sem, s)
         else:
             queries = list(range(min(af.n, 100)))

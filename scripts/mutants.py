@@ -1,4 +1,4 @@
-"""Mutation gate: every seeded mutant of the engines must fail its tests.
+"""Mutation gate: every seeded mutant of afkit must fail its tests.
 
     python3 scripts/mutants.py [NAME ...]
 
@@ -13,8 +13,10 @@ tests fail, `SURVIVED` when they pass, `ERROR` when pytest could not run them
 selected (all of them by default, or those named) was killed, and 2 for an
 unknown name.
 
-Each engine change adds its own mutants here; a refactor that rewrites a
-mutant's old text updates the entry, which `tests/test_mutants.py` enforces.
+The mutants cover the engines, the bench harness's kill at the time limit
+and the CLI's exit codes.  Each change to them adds its own mutants here; a
+refactor that rewrites a mutant's old text updates the entry, which
+`tests/test_mutants.py` enforces.
 """
 from __future__ import annotations
 
@@ -43,6 +45,8 @@ SEMANTICS = "src/afkit/semantics.py"
 DIFFERENTIAL = "tests/test_differential.py"
 APX = "tests/test_apx.py"
 CORE_TESTS = "tests/test_core.py"
+CLI = "src/afkit/cli.py"
+CLI_TESTS = "tests/test_cli.py"
 
 MUTANTS = (
     # the one-pass APX tokenizer
@@ -396,6 +400,28 @@ MUTANTS = (
         "if any(_search(af, admissible=False, cover=c, universe=c)):",
         "if False:",
         (DIFFERENTIAL,),
+    ),
+    # the bench harness's one deadline and the CLI's one exit-code map
+    Mutant(
+        "bench kills the child alone at the limit",
+        "src/afkit/bench.py",
+        "os.killpg(proc.pid, signal.SIGKILL)",
+        "os.kill(proc.pid, signal.SIGKILL)",
+        ("tests/test_bench.py",),
+    ),
+    Mutant(
+        "unwritable output not turned into an input error",
+        CLI,
+        "except OSError as exc:\n            raise CommandError(EXIT_INPUT, f\"cannot write {output}",
+        "except () as exc:\n            raise CommandError(EXIT_INPUT, f\"cannot write {output}",
+        (CLI_TESTS,),
+    ),
+    Mutant(
+        "search cap mapped to the input-error exit code",
+        CLI,
+        "return EXIT_CAP",
+        "return EXIT_INPUT",
+        (CLI_TESTS,),
     ),
 )
 

@@ -1,11 +1,13 @@
 """Benchmark harness: timed solve runs over generated instances, CSV in/out.
 
-Every run happens in a forked child process so a hung or slow solve can be
-killed at the time limit; timed-out runs are booked at exactly the limit,
-which keeps averages honest when comparing configurations that time out at
-different real costs.  Error rows keep the child's error text in detail.
-Wall time is measured around the solve call alone — instance generation and
-process startup are excluded.
+Runs go one at a time, each in a forked child process that leads its own
+process group.  The parent's wait for the child's result is the only
+deadline: at the limit the parent kills the whole group, the child and any
+solver it started, and books the run at exactly the limit, which keeps
+averages honest when comparing configurations that time out at different
+real costs.  Error rows keep the child's error text in detail.  Wall time is
+measured around the solve call alone — instance generation and process
+startup are excluded.
 
 Engines are either "native" (this package's enumeration, argument cap
 lifted) or "external:<encoding-id>" (the ASP bridge).  Trial t runs seed
@@ -14,6 +16,8 @@ base_seed + t on every engine, so engines are compared on the same instances.
 from __future__ import annotations
 
 import csv
+import os
+import signal
 import time
 from dataclasses import dataclass
 from math import isqrt
@@ -22,7 +26,7 @@ from typing import Iterable, Sequence
 from .encodings import EncodingId, emit_job, is_optimization_encoding
 from .generators import GenSpec, generate
 from .semantics import Semantics, enumerate_extensions
-from .solver import SolverConfig, SolverTimeoutError, run_job
+from .solver import SolverConfig, run_job
 
 CSV_COLUMNS = [
     "kind",
@@ -36,7 +40,6 @@ CSV_COLUMNS = [
     "time_ms",
     "extensions",
     "status",
-    "jobs",
     "detail",
 ]
 
@@ -59,7 +62,6 @@ class BenchRecord:
     time_ms: float
     extensions: int | None
     status: str
-    jobs: int
     detail: str = ""
 
     def size(self) -> int:
@@ -79,7 +81,6 @@ class BenchRecord:
             repr(self.time_ms),
             "" if self.extensions is None else str(self.extensions),
             self.status,
-            str(self.jobs),
             self.detail,
         ]
 
@@ -99,8 +100,7 @@ class BenchRecord:
             time_ms=float(row[8]),
             extensions=int(row[9]) if row[9] else None,
             status=row[10],
-            jobs=int(row[11]),
-            detail=row[12],
+            detail=row[11],
         )
         if record.status not in STATUSES:
             raise ValueError(f"unknown status {record.status!r}")
@@ -108,8 +108,9 @@ class BenchRecord:
 
 
 def _bench_worker(conn, spec: GenSpec, semantics: str, engine: str,
-                  timeout: float | None, solver_config: SolverConfig | None) -> None:
+                  solver_config: SolverConfig | None) -> None:
     """Child-process body: generate, solve, report (status, time_ms, count)."""
+    os.setpgid(0, 0)  # so that the parent's kill takes any solver along
     try:
         af = generate(spec)
         if engine == "native":
@@ -120,11 +121,9 @@ def _bench_worker(conn, spec: GenSpec, semantics: str, engine: str,
             encoding = engine.split(":", 1)[1]
             job = emit_job(af, encoding)
             start = time.perf_counter()
-            exts = run_job(job, solver_config, timeout=timeout)
+            exts = run_job(job, solver_config)
             elapsed = time.perf_counter() - start
         conn.send(("ok", elapsed * 1000.0, len(exts)))
-    except SolverTimeoutError:
-        conn.send(("timeout", None, None))
     except Exception as exc:  # report everything; the parent books an error row
         conn.send(("error", f"{type(exc).__name__}: {exc}", None))
     finally:
@@ -138,9 +137,8 @@ def run_one(
     *,
     timeout: float | None = None,
     solver_config: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> BenchRecord:
-    """Run one timed solve in a killable child process."""
+    """Run one timed solve in a child process group killed at the limit."""
     import multiprocessing  # here, so that importing afkit stays light
 
     sem = Semantics(semantics).value
@@ -148,39 +146,36 @@ def run_one(
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_bench_worker,
-        args=(child_conn, spec, sem, engine, timeout, solver_config),
+        args=(child_conn, spec, sem, engine, solver_config),
     )
     proc.start()
+    # set from both sides, so the group exists whichever runs first
+    os.setpgid(proc.pid, proc.pid)
     child_conn.close()
 
     status = "error"
     time_ms = 0.0
     extensions = None
+    lost = False
     detail = ""
     try:
         if parent_conn.poll(timeout):
             outcome, payload, count = parent_conn.recv()
             if outcome == "ok":
                 status, time_ms, extensions = "ok", float(payload), int(count)
-            elif outcome == "timeout":
-                status = "timeout"
-                time_ms = (timeout or 0.0) * 1000.0
             else:
                 detail = payload
         else:
             status = "timeout"
-            time_ms = (timeout or 0.0) * 1000.0
+            time_ms = timeout * 1000.0
     except EOFError:
-        proc.join(5)
-        detail = f"child exited without a result (exit code {proc.exitcode})"
+        lost = True
     finally:
         parent_conn.close()
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.join()
+    if lost:
+        detail = f"child exited without a result (exit code {proc.exitcode})"
 
     return BenchRecord(
         kind=spec.kind,
@@ -194,7 +189,6 @@ def run_one(
         time_ms=time_ms,
         extensions=extensions,
         status=status,
-        jobs=jobs,
         detail=detail,
     )
 
@@ -279,17 +273,16 @@ def run_bench(
     timeout: float | None = None,
     neighborhood: str = "orthogonal",
     base_seed: int = 0,
-    jobs: int = 1,
     solver_config: SolverConfig | None = None,
 ) -> list[BenchRecord]:
-    """Run the whole benchmark plan; one record per run, in plan order."""
+    """Run the whole benchmark plan, one run at a time; one record per run,
+    in plan order.  The solver environment is read only when some engine is
+    external."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive")
-    if solver_config is None:
+    if solver_config is None and any(e.startswith("external:") for e in engines):
         solver_config = SolverConfig.from_env()
     _validate_engines(engines, solver_config)
 
@@ -303,20 +296,10 @@ def run_bench(
         neighborhood=neighborhood,
         base_seed=base_seed,
     )
-
-    def execute(run: tuple[GenSpec, str, str]) -> BenchRecord:
-        spec, sem, engine = run
-        return run_one(
-            spec, sem, engine,
-            timeout=timeout, solver_config=solver_config, jobs=jobs,
-        )
-
-    if jobs == 1:
-        return [execute(run) for run in runs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(execute, runs))
+    return [
+        run_one(spec, sem, engine, timeout=timeout, solver_config=solver_config)
+        for spec, sem, engine in runs
+    ]
 
 
 def write_csv(records: Iterable[BenchRecord], path: str) -> None:

@@ -1,9 +1,13 @@
 """Command-line interface: solve, gen, emit, and bench subcommands.
 
 Exit codes follow one contract everywhere: 0 success (and YES answers),
-1 NO answers, 2 usage errors, 3 input errors (unreadable or malformed
-instances, unknown argument names), 4 resource caps and timeouts, 5 internal
-errors (an unexpected exception, never reported as an answer).
+1 NO answers, 2 usage errors (including a bad solver configuration for an
+external bench engine), 3 input errors (unreadable or malformed instances,
+unknown argument names, unwritable output paths), 4 resource caps and
+timeouts, 5 internal errors (an unexpected exception, never reported as an
+answer).  A command raises CommandError with its code and message, and main
+maps that, SearchCapError and every other exception to an exit code in one
+place.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from .semantics import (
     skeptical,
     verify,
 )
+from .solver import SolverConfigError
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -34,26 +39,32 @@ EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class CommandError(Exception):
+    """A failure the user can act on, with the exit code it maps to."""
 
-
-def _input_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_af(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return parse_apx(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_apx(handle.read())
+    except OSError as exc:
+        raise CommandError(EXIT_INPUT, f"cannot read {path}: {exc}") from None
+    except (ApxError, UnicodeDecodeError) as exc:
+        raise CommandError(EXIT_INPUT, f"{path}: {exc}") from None
 
 
 def _write_text(text: str, output: str | None) -> None:
     """Write to the given path (then print the path) or to stdout."""
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CommandError(EXIT_INPUT, f"cannot write {output}: {exc}") from None
         print(output)
     else:
         sys.stdout.write(text)
@@ -68,49 +79,41 @@ def _split_csv_flag(raw: str) -> list[str]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.max_args < 0:
-        return _usage("--max-args must be 0 (no cap) or positive")
+        raise CommandError(EXIT_USAGE, "--max-args must be 0 (no cap) or positive")
     max_args = None if args.max_args == 0 else args.max_args
-    try:
-        af = _load_af(args.input)
-    except OSError as exc:
-        return _input_error(f"cannot read {args.input}: {exc}")
-    except (ApxError, UnicodeDecodeError) as exc:
-        return _input_error(f"{args.input}: {exc}")
-
+    af = _load_af(args.input)
     semantics = Semantics(args.semantics)
-    try:
-        if args.task == "EE":
-            extensions = enumerate_extensions(af, semantics, max_args=max_args)
-            names = extensions.names()
-            if args.format == "count":
-                print(len(names))
-            elif args.format == "json":
-                print(json.dumps([list(ext) for ext in names]))
-            else:
-                for ext in names:
-                    print(",".join(ext))
-            return EXIT_OK
 
-        if args.task in ("CA", "SA"):
-            if args.arg is None:
-                return _usage(f"task {args.task} needs --arg")
-            decide = credulous if args.task == "CA" else skeptical
-            try:
-                answer = decide(af, semantics, args.arg, max_args=max_args)
-            except ValueError as exc:
-                return _input_error(str(exc))
-        else:  # VER
-            if args.set is None:
-                return _usage("task VER needs --set")
-            try:
-                subset = af.argset(_split_csv_flag(args.set))
-            except ValueError as exc:
-                return _input_error(str(exc))
-            answer = verify(af, semantics, subset)
-    except SearchCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    if args.task == "EE":
+        names = enumerate_extensions(af, semantics, max_args=max_args).names()
+        if args.format == "count":
+            print(len(names))
+        elif args.format == "json":
+            print(json.dumps([list(ext) for ext in names]))
+        else:
+            for ext in names:
+                print(",".join(ext))
+        return EXIT_OK
 
+    # only the name lookups sit under the input-error guard: a ValueError
+    # from a decision call is a defect, not the input's fault
+    if args.task == "VER":
+        if args.set is None:
+            raise CommandError(EXIT_USAGE, "task VER needs --set")
+        try:
+            subset = af.argset(_split_csv_flag(args.set))
+        except ValueError as exc:
+            raise CommandError(EXIT_INPUT, str(exc)) from None
+        answer = verify(af, semantics, subset)
+    else:
+        if args.arg is None:
+            raise CommandError(EXIT_USAGE, f"task {args.task} needs --arg")
+        try:
+            arg = af.arg_id(args.arg)
+        except ValueError as exc:
+            raise CommandError(EXIT_INPUT, str(exc)) from None
+        decide = credulous if args.task == "CA" else skeptical
+        answer = decide(af, semantics, arg, max_args=max_args)
     print("YES" if answer else "NO")
     return EXIT_OK if answer else EXIT_NO
 
@@ -130,7 +133,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             self_attacks=args.self_attacks,
         )
     except ValueError as exc:
-        return _usage(str(exc))
+        raise CommandError(EXIT_USAGE, str(exc)) from None
     _write_text(serialize_apx(generate(spec)), args.output)
     return EXIT_OK
 
@@ -143,13 +146,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
         _write_text(emit_encoding(args.encoding), args.output)
         return EXIT_OK
     if args.input is None:
-        return _usage("emit needs --input unless --program-only is given")
-    try:
-        af = _load_af(args.input)
-    except OSError as exc:
-        return _input_error(f"cannot read {args.input}: {exc}")
-    except (ApxError, UnicodeDecodeError) as exc:
-        return _input_error(f"{args.input}: {exc}")
+        raise CommandError(EXIT_USAGE, "emit needs --input unless --program-only is given")
+    af = _load_af(args.input)
     if args.instance_only:
         _write_text(emit_instance(af), args.output)
     else:
@@ -162,29 +160,23 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
     try:
-        sizes = [int(s) for s in _split_csv_flag(args.sizes)]
-        ps = [float(p) for p in _split_csv_flag(args.p)]
-    except ValueError as exc:
-        return _usage(str(exc))
-    kinds = _split_csv_flag(args.kinds)
-    semantics = _split_csv_flag(args.semantics)
-    engines = _split_csv_flag(args.engines)
-    try:
         records = run_bench(
-            kinds=kinds,
-            sizes=sizes,
-            ps=ps,
-            semantics=semantics,
-            engines=engines,
+            kinds=_split_csv_flag(args.kinds),
+            sizes=[int(s) for s in _split_csv_flag(args.sizes)],
+            ps=[float(p) for p in _split_csv_flag(args.p)],
+            semantics=_split_csv_flag(args.semantics),
+            engines=_split_csv_flag(args.engines),
             trials=args.trials,
             timeout=args.timeout,
             neighborhood=args.neighborhood,
             base_seed=args.base_seed,
-            jobs=args.jobs,
         )
-    except ValueError as exc:
-        return _usage(str(exc))
-    write_csv(records, args.output)
+    except (ValueError, SolverConfigError) as exc:
+        raise CommandError(EXIT_USAGE, str(exc)) from None
+    try:
+        write_csv(records, args.output)
+    except OSError as exc:
+        raise CommandError(EXIT_INPUT, f"cannot write {args.output}: {exc}") from None
     print(args.output)
     return EXIT_OK
 
@@ -193,9 +185,9 @@ def cmd_bench_summarize(args: argparse.Namespace) -> int:
     try:
         records = read_csv(args.input)
     except OSError as exc:
-        return _input_error(f"cannot read {args.input}: {exc}")
+        raise CommandError(EXIT_INPUT, f"cannot read {args.input}: {exc}") from None
     except ValueError as exc:
-        return _input_error(f"{args.input}: {exc}")
+        raise CommandError(EXIT_INPUT, f"{args.input}: {exc}") from None
     rows = summarize(records)
     header = ("kind", "semantics", "engine", "size", "runs", "ok",
               "timeouts", "errors", "mean_time_ms")
@@ -273,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--neighborhood", choices=list(NEIGHBORHOODS),
                      default="orthogonal")
     run.add_argument("--base-seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--output", default="bench.csv")
     run.set_defaults(func=cmd_bench_run)
 
@@ -292,6 +283,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except SearchCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except Exception as exc:  # a defect must not read as a NO answer
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -4,8 +4,10 @@ Usage: python3 stub_solver.py MODE [input-file]
 
 Reads the program from the input file when given, from stdin otherwise, and
 prints canned clasp-shaped output so the bridge's parsing, exit-code and
-plumbing behavior can be exercised without a real solver.
+plumbing behavior can be exercised without a real solver.  Mode `sleep`
+first writes its pid to the file named by STUB_SOLVER_PID_FILE, if set.
 """
+import os
 import re
 import sys
 import time
@@ -75,6 +77,11 @@ def main() -> int:
         print("SATISFIABLE")
         return 10
     if mode == "sleep":
+        # leave the pid where a test can check that a kill took this process
+        pid_file = os.environ.get("STUB_SOLVER_PID_FILE")
+        if pid_file:
+            with open(pid_file, "w", encoding="utf-8") as handle:
+                handle.write(str(os.getpid()))
         read_program()
         time.sleep(10)
         return 0

@@ -320,10 +320,55 @@ def test_bench_usage_error_for_unknown_engine(capsys):
     assert "engine" in err
 
 
+BAD_SOLVER_ENV = {
+    "metasp": ("AFKIT_SOLVER_METASP", "maybe", "AFKIT_SOLVER_METASP='maybe'"),
+    "config": ("AFKIT_SOLVER_CONFIG", "/nonexistent/solver.json",
+               "cannot read solver config"),
+}
+
+
+@pytest.mark.parametrize("setting", BAD_SOLVER_ENV.values(), ids=BAD_SOLVER_ENV)
+def test_native_bench_run_ignores_the_solver_environment(setting, tmp_path,
+                                                         capsys, monkeypatch):
+    var, value, _ = setting
+    monkeypatch.setenv(var, value)
+    csv_path = tmp_path / "runs.csv"
+    code, _, err = run_cli(capsys, "bench", "run", "--sizes", "4",
+                           "--semantics", "grd", "--output", str(csv_path))
+    assert (code, err) == (0, "")
+    assert [r.status for r in read_csv(str(csv_path))] == ["ok"]
+
+
+@pytest.mark.parametrize("setting", BAD_SOLVER_ENV.values(), ids=BAD_SOLVER_ENV)
+def test_external_bench_run_with_a_bad_solver_config_is_usage_error(
+        setting, tmp_path, capsys, monkeypatch):
+    var, value, message = setting
+    monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, "bench", "run", "--sizes", "4",
+                             "--semantics", "grd", "--engines", "external:cf",
+                             "--output", str(tmp_path / "runs.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_bench_summarize_missing_file(capsys):
     code, _, _ = run_cli(capsys, "bench", "summarize",
                          "--input", "/nonexistent.csv")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "arbitrary", "--n", "4"],
+    ["emit", "--encoding", "cf", "--program-only"],
+    ["bench", "run", "--sizes", "4", "--semantics", "grd"],
+], ids=["gen", "emit", "bench-run"])
+def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
+    # bench run finds out only when it writes its CSV, after the plan has run
+    path = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 # ---------------------------------------------------------------- plumbing
@@ -378,8 +423,9 @@ def test_module_entrypoint_help():
 
 
 def test_import_loads_no_heavy_modules():
-    # numpy (the generators' PCG64) and the bench's process and thread pools
-    # load only when used, so a cold `afkit solve` does not pay for them
+    # numpy (the generators' PCG64) and multiprocessing (the bench's child
+    # processes) load only when used, and concurrent.futures not at all, so
+    # a cold `afkit solve` does not pay for them
     heavy = ("numpy", "multiprocessing", "concurrent.futures")
     proc = subprocess.run(
         [sys.executable, "-c",
