@@ -100,19 +100,34 @@ MUTANTS = (
         "lines += defeats",
         (APX,),
     ),
+    # the set-bit primitives every engine scan goes through
+    Mutant(
+        "union keeps only the last table entry",
+        CORE,
+        "acc |= table[low.bit_length() - 1]",
+        "acc = table[low.bit_length() - 1]",
+        (CORE_TESTS,),
+    ),
+    Mutant(
+        "unsupported stops after the first bit checked",
+        CORE,
+        "            return True\n        mask ^= low\n",
+        "            return True\n        break\n",
+        (CORE_TESTS,),
+    ),
     # the worklist grounded fixpoint
     Mutant(
         "grounded start ignores the universe",
         CORE,
-        "if not inn[i] & universe:",
-        "if not inn[i]:",
+        "fresh = _unattacked(inn, universe, universe)",
+        "fresh = _unattacked(inn, universe, -1)",
         (CORE_TESTS,),
     ),
     Mutant(
         "grounded candidates from the new members' targets",
         CORE,
-        "reach &= open_ & ~mask",
-        "reach = hit & open_ & ~mask",
+        "_unattacked(inn, _union(out, defeated) & open_",
+        "_unattacked(inn, _union(out, fresh) & open_",
         (CORE_TESTS,),
     ),
     Mutant(
@@ -134,8 +149,8 @@ MUTANTS = (
     Mutant(
         "flood fill ignores already-placed ids",
         CORE,
-        "frontier = reach & rest & ~comp",
-        "frontier = reach & universe & ~comp",
+        "frontier = _union(inn, frontier) & rest & ~comp",
+        "frontier = _union(inn, frontier) & universe & ~comp",
         (CORE_TESTS,),
     ),
     Mutant(
@@ -199,7 +214,7 @@ MUTANTS = (
     Mutant(
         "skip children pushed unchecked",
         SEMANTICS,
-        "if not (todo and unsupported(todo, helpers)):",
+        "if not (todo and _unsupported(attackers, todo, helpers)):",
         "if True:",
         (DIFFERENTIAL,),
     ),
@@ -221,8 +236,8 @@ MUTANTS = (
     Mutant(
         "take path continues after a failed support check",
         SEMANTICS,
-        "            if todo and unsupported(todo, helpers):\n                break\n",
-        "            if todo and unsupported(todo, helpers):\n                pass\n",
+        "            if todo and _unsupported(attackers, todo, helpers):\n                break\n",
+        "            if todo and _unsupported(attackers, todo, helpers):\n                pass\n",
         (DIFFERENTIAL,),
     ),
     # the complete walk's defended-skip rule and leaf test
@@ -243,8 +258,8 @@ MUTANTS = (
     Mutant(
         "leaf test counts attackers outside the universe",
         SEMANTICS,
-        "if not attackers[low.bit_length() - 1] & uncountered:",
-        "if not attackers[low.bit_length() - 1] & ~covered:",
+        "_unsupported(attackers, uncountered & ~chosen, uncountered)",
+        "_unsupported(attackers, uncountered & ~chosen, ~covered)",
         (DIFFERENTIAL,),
     ),
     Mutant(

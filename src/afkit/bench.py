@@ -213,7 +213,7 @@ def _spec_for(kind: str, size: int, p: float, neighborhood: str, seed: int) -> G
         rows, cols = grid_dimensions(size)
         return GenSpec(kind="grid", n=rows, m=cols, p=p,
                        neighborhood=neighborhood, seed=seed)
-    return GenSpec(kind="arbitrary", n=size, p=p, seed=seed)
+    return GenSpec(kind=kind, n=size, p=p, seed=seed)
 
 
 def plan_runs(

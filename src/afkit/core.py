@@ -5,6 +5,10 @@ Arguments get dense integer ids in order of first appearance; argument sets
 are bitmasks wrapped in ArgSet, with id 0 on the least-significant bit.  A
 sub-framework is a universe mask: the grounded fixpoint and the SCCs (two
 bitmask sweeps) run on the attack masks inside it, with nothing rebuilt.
+Every scan of a mask's set bits in the engines goes through one of four
+helpers: _ids lists them, _union ORs a per-id table over them, _unattacked
+keeps those with no attacker in a given mask, and _unsupported asks whether
+there is one.
 
 APX text is read by one tokenizer pass (parse_apx): a single regex splits the
 text into one flat list of strings, whose columns hold the names of every
@@ -334,13 +338,7 @@ def characteristic(af: AF, s: ArgSet) -> ArgSet:
 
 
 def _attacked_mask(af: AF, mask: int) -> int:
-    out = af.out_masks
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc |= out[low.bit_length() - 1]
-        mask ^= low
-    return acc
+    return _union(af.out_masks, mask)
 
 
 def _ids(mask: int) -> list[int]:
@@ -355,6 +353,36 @@ def _ids(mask: int) -> list[int]:
     return ids
 
 
+def _union(table: Sequence[int], mask: int) -> int:
+    """The OR of table[i] over the set bits i of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= table[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _unattacked(inn: Sequence[int], mask: int, by: int) -> int:
+    """The bits i of mask with no attacker in by (inn[i] & by == 0)."""
+    acc = 0
+    for i in _ids(mask):
+        if not inn[i] & by:
+            acc |= 1 << i
+    return acc
+
+
+def _unsupported(inn: Sequence[int], mask: int, by: int) -> bool:
+    """Whether some bit of mask has no attacker in by: _unattacked(inn, mask,
+    by) != 0, stopping at the first such bit."""
+    while mask:
+        low = mask & -mask
+        if not inn[low.bit_length() - 1] & by:
+            return True
+        mask ^= low
+    return False
+
+
 def _char_mask(af: AF, mask: int) -> int:
     """The ids that no argument outside mask's targets attacks."""
     return af.full_mask & ~_attacked_mask(af, af.full_mask & ~_attacked_mask(af, mask))
@@ -362,42 +390,19 @@ def _char_mask(af: AF, mask: int) -> int:
 
 def _grounded_mask(out, inn, universe: int | None = None) -> int:
     """Grounded extension of the sub-framework on universe (default: every
-    argument) under the attack masks out/inn: the least fixpoint of its
-    characteristic function, iterated from the empty set.
-
-    A worklist grows it step by step.  The first step takes the ids of
-    universe that have no attacker inside it.  An id can join later only when
-    its last attacker still open (undefeated) becomes defeated, so each step
-    tests just the targets of the arguments that its new members newly
-    defeat."""
+    argument) under the attack masks out/inn, grown by a worklist: an id
+    joins when its last open (undefeated) attacker becomes defeated, so each
+    step tests only the targets of the arguments its new members defeat."""
     if universe is None:
         universe = (1 << len(out)) - 1
-    fresh = 0
-    for i in _ids(universe):
-        if not inn[i] & universe:
-            fresh |= 1 << i
+    fresh = _unattacked(inn, universe, universe)
     mask = covered = 0
     while fresh:
         mask |= fresh
-        hit = 0
-        while fresh:  # the new members' targets; this empties fresh
-            low = fresh & -fresh
-            hit |= out[low.bit_length() - 1]
-            fresh ^= low
-        defeated = hit & universe & ~covered
+        defeated = _union(out, fresh) & universe & ~covered
         covered |= defeated
         open_ = universe & ~covered
-        reach = 0
-        while defeated:  # the newly defeated arguments' targets
-            low = defeated & -defeated
-            reach |= out[low.bit_length() - 1]
-            defeated ^= low
-        reach &= open_ & ~mask
-        while reach:  # the candidates: those without an open attacker join
-            low = reach & -reach
-            if not inn[low.bit_length() - 1] & open_:
-                fresh |= low
-            reach ^= low
+        fresh = _unattacked(inn, _union(out, defeated) & open_ & ~mask, open_)
     return mask
 
 
@@ -478,10 +483,7 @@ def _scc_masks(af: AF, universe: int) -> list[int]:
             continue
         comp = frontier = 1 << v
         while frontier:
-            reach = 0
-            for w in _ids(frontier):
-                reach |= inn[w]
-            frontier = reach & rest & ~comp
+            frontier = _union(inn, frontier) & rest & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp

@@ -88,6 +88,8 @@ from .core import (
     _char_mask,
     _grounded_mask,
     _ids,
+    _union,
+    _unsupported,
 )
 
 DEFAULT_SEARCH_CAP = 26
@@ -266,8 +268,7 @@ def _search(
     # neither those targets nor the pins' attackers can join it
     clash = _attacked_mask(af, forced_in)
     cover &= ~(forced_in | clash)
-    for i in _ids(forced_in):
-        clash |= attackers[i]
+    clash |= _union(attackers, forced_in)
     blocked = af.self_loop_mask | clash
     if forced_in & blocked:
         return  # a pin attacks itself or clashes with a pin
@@ -276,18 +277,9 @@ def _search(
     for p in range(k - 1, -1, -1):
         future_in[p] = future_in[p + 1] | (0 if bits[p] & blocked else bits[p])
     threat = -1 if admissible else 0
-
-    def unsupported(todo: int, helpers: int) -> bool:
-        while todo:
-            low = todo & -todo
-            if not attackers[low.bit_length() - 1] & helpers:
-                return True
-            todo ^= low
-        return False
-
     # explicit stack of skip branches (position, chosen, covered, hostile)
     todo = cover & ~future_in[0]
-    stack = [] if todo and unsupported(todo, future_in[0]) else [(0, 0, 0, 0)]
+    stack = [] if todo and _unsupported(attackers, todo, future_in[0]) else [(0, 0, 0, 0)]
     while stack:
         p, chosen, covered, hostile = stack.pop()
         while p < k:
@@ -300,12 +292,12 @@ def _search(
                 # skipping a helper shrinks the helpers of bit and its targets only
                 helpers = future_in[q] & ~(covered | hostile)
                 todo = (bit | out) & ~covered & (hostile & threat | cover & ~(chosen | helpers))
-                if not (todo and unsupported(todo, helpers)):
+                if not (todo and _unsupported(attackers, todo, helpers)):
                     stack.append((q, chosen, covered, hostile))
             chosen, covered, hostile = chosen | bit, covered | out, hostile | inns[p]
             helpers = future_in[q] & ~(covered | hostile)
             todo = near[p] & ~covered & (hostile & threat | cover & ~(chosen | helpers))
-            if todo and unsupported(todo, helpers):
+            if todo and _unsupported(attackers, todo, helpers):
                 break
             p = q
         else:
@@ -321,13 +313,7 @@ def _defends_left_out(
     covered; a complete set defends none.  Only the ids outside chosen's range
     are asked: a conflict-free set defends no id it attacks."""
     uncountered = universe & ~covered
-    rest = uncountered & ~chosen
-    while rest:
-        low = rest & -rest
-        if not attackers[low.bit_length() - 1] & uncountered:
-            return True
-        rest ^= low
-    return False
+    return _unsupported(attackers, uncountered & ~chosen, uncountered)
 
 
 def _cf_masks(af: AF, universe: int) -> list[int]:
@@ -349,14 +335,12 @@ def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
     """Weakly connected components of the sub-framework on universe
     (default: every argument), by lowest id."""
     rest = af.full_mask if universe is None else universe
+    nbrs = list(map(int.__or__, af.out_masks, af.in_masks))
     comps = []
     while rest:
         comp = frontier = rest & -rest
         while frontier:
-            reach = 0
-            for v in _ids(frontier):
-                reach |= af.out_masks[v] | af.in_masks[v]
-            frontier = reach & rest & ~comp
+            frontier = _union(nbrs, frontier) & rest & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp

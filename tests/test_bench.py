@@ -2,6 +2,7 @@
 import os
 import pathlib
 import shlex
+import signal
 import sys
 import time
 
@@ -107,10 +108,14 @@ def test_external_solver_timeout_is_booked_at_the_limit(tmp_path, monkeypatch):
     # the kill at the limit takes the solver along; the stub would otherwise
     # sleep on for 10 s.  Allow a moment for the SIGKILL to land.
     pid = int(pid_file.read_text())
-    deadline = time.monotonic() + 2.0
-    while _running(pid) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not _running(pid)
+    try:
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid)
+    finally:
+        if _running(pid):  # the kill missed it: do not leave it sleeping
+            os.kill(pid, signal.SIGKILL)
 
 
 # ------------------------------------------------------------ run planning

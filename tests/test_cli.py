@@ -320,6 +320,15 @@ def test_bench_usage_error_for_unknown_engine(capsys):
     assert "engine" in err
 
 
+def test_bench_run_refuses_an_unknown_kind(tmp_path, capsys):
+    csv_path = tmp_path / "runs.csv"
+    code, out, err = run_cli(capsys, "bench", "run", "--kinds", "grdi", "--sizes", "4",
+                             "--semantics", "grd", "--output", str(csv_path))
+    assert (code, out) == (2, "")
+    assert "unknown generator kind 'grdi'" in err
+    assert not csv_path.exists()
+
+
 BAD_SOLVER_ENV = {
     "metasp": ("AFKIT_SOLVER_METASP", "maybe", "AFKIT_SOLVER_METASP='maybe'"),
     "config": ("AFKIT_SOLVER_CONFIG", "/nonexistent/solver.json",

@@ -13,6 +13,9 @@ from afkit.core import (
     ArgSet,
     _grounded_mask,
     _ids,
+    _unattacked,
+    _union,
+    _unsupported,
     attacked_by,
     characteristic,
     is_conflict_free,
@@ -251,6 +254,24 @@ def test_grounded_mask_walks_a_long_chain_link_by_link():
     # a self-attacker in the middle stops the walk there
     looped = AF(names, list(zip(names, names[1:])) + [("c150", "c150")])
     assert _grounded_mask(looped.out_masks, looped.in_masks) == evens & ((1 << 150) - 1)
+
+
+def test_set_bit_primitives_match_their_literal_definitions():
+    rng = random.Random(29)
+    for n in (1, 5, 63, 64, 65, 130):
+        full = (1 << n) - 1
+        table = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        masks = (0, full, 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(20)))
+        for mask in masks:
+            members = [i for i in range(n) if mask >> i & 1]
+            union = 0
+            for i in members:
+                union |= table[i]
+            assert _union(table, mask) == union, (n, mask)
+            for by in (0, full, *(rng.getrandbits(n) for _ in range(5))):
+                free = sum(1 << i for i in members if not table[i] & by)
+                assert _unattacked(table, mask, by) == free, (n, mask, by)
+                assert _unsupported(table, mask, by) is bool(free), (n, mask, by)
 
 
 def test_af_accessors(af6):
