@@ -12,7 +12,9 @@ triggers (from `gc.get_stats()`, after a `gc.collect()`).
 
 The decide table times the `decide` benchmark's costliest query kinds, CA
 stb on the sparse 2,000-argument ingest shape, where the search touches a
-few arguments but the tables span them all, and CA/SA grd_star on `10 linked
+few arguments but the tables span them all, CA adm on grid 100, which the
+benchmark leaves out (its NO answers once walked the whole framework; each is
+now one walk off the argument's neighbourhood), and CA/SA grd_star on `10 linked
 pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i linking them into
 one weak component, where each query enumerates every grd_star extension.
 VER stg on `grid 25 ← 3-cycle` (see below), which has no stable extension,
@@ -142,6 +144,7 @@ INGEST_INSTANCES = (
 DECIDE_ROWS = (
     ("CA stb grid 100", "CA", "stb", lambda: grid(100)),
     ("SA stb grid 100", "SA", "stb", lambda: grid(100)),
+    ("CA adm grid 100", "CA", "adm", lambda: grid(100)),
     ("CA sem arb 30", "CA", "sem", lambda: arb(30)),
     ("SA sem arb 30", "SA", "sem", lambda: arb(30)),
     ("CA stg arb 30", "CA", "stg", lambda: arb(30)),

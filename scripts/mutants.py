@@ -219,13 +219,6 @@ MUTANTS = (
         (DIFFERENTIAL,),
     ),
     Mutant(
-        "pinned range dropped without cutting the pins to the universe",
-        SEMANTICS,
-        "forced_in &= universe",
-        "forced_in &= -1",
-        (DIFFERENTIAL,),
-    ),
-    Mutant(
         "skip check limited to the skipped id",
         SEMANTICS,
         "todo = (bit | out) & ~covered",
@@ -244,8 +237,8 @@ MUTANTS = (
     Mutant(
         "complete walk without the defended-skip rule",
         SEMANTICS,
-        "bit & forced_in or complete and not inns[p] & ~covered",
-        "bit & forced_in",
+        "if not complete or inns[p] & ~covered:",
+        "if True:",
         (DIFFERENTIAL,),
     ),
     Mutant(
@@ -265,8 +258,8 @@ MUTANTS = (
     Mutant(
         "defended-skip rule fires when the lowest attacker alone is countered",
         SEMANTICS,
-        "complete and not inns[p] & ~covered",
-        "complete and not inns[p] & -inns[p] & ~covered",
+        "or inns[p] & ~covered:",
+        "or inns[p] & -inns[p] & ~covered:",
         (DIFFERENTIAL,),
     ),
     # the per-AF search tables
@@ -313,29 +306,44 @@ MUTANTS = (
     Mutant(
         "no pin check in _has_stable",
         SEMANTICS,
-        "if forced_in & gatt or forced_out & g:",
+        "if inside & gatt or outside & g:",
         "if False:",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(
         "pinned-out id left in the component's universe",
         SEMANTICS,
-        "universe=c & ~forced_out))",
-        "universe=c))",
+        "cut = outside | (",
+        "cut = (",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(
-        "no blocked-pin return",
+        "stable cut without inside's neighbours",
         SEMANTICS,
-        "if forced_in & blocked:",
-        "if False:",
+        "cut = outside | (_attacked_mask(af, inside) | _union(af.in_masks, inside)) & ~inside",
+        "cut = outside",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(
         "first component only",
         SEMANTICS,
-        "for c in comps\n",
-        "for c in comps[:1]\n",
+        "universe=c & ~cut)) for c in comps)",
+        "universe=c & ~cut)) for c in comps[:1])",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    # credulous adm/com/prf as a cut of the universe
+    Mutant(
+        "credulous tests the walk for a true yield",
+        SEMANTICS,
+        "next(walk, None) is not None",
+        "any(walk)",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "credulous cover without the argument's attackers",
+        SEMANTICS,
+        "cover=inn & ~out,",
+        "cover=0,",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(

@@ -20,7 +20,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterable, Sequence
 
 from .encodings import EncodingId, emit_job, is_optimization_encoding
@@ -280,8 +280,8 @@ def run_bench(
     external."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
+    if timeout is not None and not 0 < timeout < inf:
+        raise ValueError("timeout must be positive and finite")
     if solver_config is None and any(e.startswith("external:") for e in engines):
         solver_config = SolverConfig.from_env()
     _validate_engines(engines, solver_config)

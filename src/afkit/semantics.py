@@ -11,7 +11,7 @@ later step could take.  Admissibility asks this of the unattacked attackers
 of the chosen set (the must-out rule of Nofal, Atkinson & Dunne, "Algorithms
 for decision problems in argument systems under preferred semantics", AIJ
 2014), and the range condition of stable, semi-stable and stage of the cover
-arguments no later step can take themselves.  Unpinned conflict-free sets,
+arguments no later step can take themselves.  Plain conflict-free sets,
 which need no rule, are built bottom-up instead, id by id from the lowest:
 each id joins every earlier set it does not conflict with, skipping whole the
 sets whose highest id it conflicts with, and the sets come out in ascending
@@ -29,7 +29,10 @@ filters see every set they keep, and com takes the walk's yields as they are.
 Verifying prf needs no superset walk: an admissible set is preferred iff its
 reduct, the sub-framework outside its range, has no non-empty admissible set
 (the modularization of Baumann, Brewka & Ulbricht, AAAI 2020), so one
-unpinned admissible walk over that universe decides it.
+admissible walk over that universe decides it.  Credulous decisions cut
+universes too: an argument that does not attack itself is in an admissible
+set iff what lies off its neighbourhood has one attacking the argument's
+attackers that it does not attack itself.
 
 Complete, stable, preferred, semi-stable and stage extensions are built one
 weak component at a time, after Baroni, Giacomin & Guida ("SCC-recursiveness",
@@ -201,7 +204,6 @@ def _search(
     af: AF,
     *,
     admissible: bool,
-    forced_in: int = 0,
     cover: int = 0,
     universe: int = -1,
     complete: bool = False,
@@ -209,22 +211,21 @@ def _search(
     """Yield conflict-free (or admissible) sets of the sub-framework on
     universe (default: every argument) as bitmasks.
 
-    forced_in pins ids in; an id is pinned out by leaving it out of universe.
-    cover prunes to sets whose final range includes every cover bit (cover ==
-    universe gives stable candidates directly).  Yield order is search order,
-    not canonical order: ids ascending, taking an id before skipping it.
+    universe is the walk's one restriction: an id is kept out by leaving it
+    out.  cover prunes to sets whose final range includes every cover bit, in
+    universe or not (cover == universe gives stable candidates directly).
+    Yield order is search order, not canonical order: ids ascending, taking
+    an id before skipping it.
 
     The walk is take-first: each pop follows its branch down, taking every id
     it can, to a leaf (which it yields) or a dead end, and pushes only the
     skip child of each id it takes, so a skip branch runs once the take
-    branch above it is done.  An id that cannot be taken (blocked, covered,
-    or in conflict with the chosen set) has only its skip child, which the
-    walk steps into in place with no pin or defended-skip check, since
-    neither can cut it.  Every pin is takeable, as its attackers and targets
-    are blocked.  A covered id, a self-attacker and a pin's target each have
-    an attacker the chosen set does not counter (a chosen id, itself, the
-    pin), and a threat keeps one among the helpers by the support rule; a
-    pin's attacker that the chosen set defends is cut at the pin's take.
+    branch above it is done.  An id that cannot be taken (a self-attacker,
+    covered, or in conflict with the chosen set) has only its skip child,
+    which the walk steps into in place with no defended-skip check, since
+    the chosen set defends no such id: a covered id and a self-attacker each
+    have an attacker the chosen set does not counter (a chosen id, itself),
+    and a threat keeps one among the helpers by the support rule.
 
     One support rule prunes the walk, checked at every take and at every skip
     child it pushes.  hostile, the attackers of the chosen set, can never join
@@ -245,33 +246,25 @@ def _search(
     unchanged.
 
     complete (admissible walk only) asks for the complete sets of the
-    universe's sub-framework that meet the pins, in the plain admissible
-    walk's order.  The skip child of an id is cut when the chosen set already
-    attacks each of its attackers in the universe, since every complete
-    extension holds each argument it defends (the labelling rule "an argument
-    whose attackers are all OUT must be IN": Modgil & Caminada, "Proof
-    theories and algorithms for abstract argumentation frameworks", 2009;
-    Nofal, Atkinson & Dunne, AIJ 2014).  That cut only prunes: an id defended
-    only by later takes is still skipped, so each leaf also runs
-    _defends_left_out and is dropped when it defends an id it left out.
+    universe's sub-framework, in the plain admissible walk's order.  The skip
+    child of an id is cut when the chosen set already attacks each of its
+    attackers in the universe, since every complete extension holds each
+    argument it defends (the labelling rule "an argument whose attackers are
+    all OUT must be IN": Modgil & Caminada, "Proof theories and algorithms
+    for abstract argumentation frameworks", 2009; Nofal, Atkinson & Dunne,
+    AIJ 2014).  That cut only prunes: an id defended only by later takes is
+    still skipped, so each leaf also runs _defends_left_out and is dropped
+    when it defends an id it left out.
     """
     universe &= af.full_mask
     ids = _ids(universe)
     outs = [af.out_masks[i] for i in ids]
     inns = [af.in_masks[i] & universe for i in ids]
     near = _near_table(af, ids)
-    forced_in &= universe
     attackers = af.in_masks
     k = len(ids)
     bits = [1 << i for i in ids]
-    # the pinned-in ids range over their targets in every yielded set, and
-    # neither those targets nor the pins' attackers can join it
-    clash = _attacked_mask(af, forced_in)
-    cover &= ~(forced_in | clash)
-    clash |= _union(attackers, forced_in)
-    blocked = af.self_loop_mask | clash
-    if forced_in & blocked:
-        return  # a pin attacks itself or clashes with a pin
+    blocked = af.self_loop_mask
     # future_in[p]: still-choosable ids from position p on
     future_in = [0] * (k + 1)
     for p in range(k - 1, -1, -1):
@@ -288,7 +281,7 @@ def _search(
                 p = q  # an id that cannot be taken is stepped over in place
                 continue
             # a complete walk never skips an id the chosen set already defends
-            if not (bit & forced_in or complete and not inns[p] & ~covered):
+            if not complete or inns[p] & ~covered:
                 # skipping a helper shrinks the helpers of bit and its targets only
                 helpers = future_in[q] & ~(covered | hostile)
                 todo = (bit | out) & ~covered & (hostile & threat | cover & ~(chosen | helpers))
@@ -396,20 +389,18 @@ def _local(af: AF, sem: Semantics, c: int) -> list[int]:
     return _range_maximal(af, sets, c)
 
 
-def _has_stable(af: AF, forced_in: int = 0, forced_out: int = 0) -> bool:
-    """Whether a stable extension holds forced_in and avoids forced_out.  It is
-    complete, so it holds the grounded extension g and none of g's targets;
-    the rest is one stable set per weak component outside g's range.  The
-    pinned-out ids are cut from each component's universe but stay in its
-    cover, so a stable set of the component must still attack them."""
+def _has_stable(af: AF, inside: int = 0, outside: int = 0) -> bool:
+    """Whether a stable extension holds the conflict-free inside and avoids
+    outside.  It is complete, so it holds the grounded extension g and none
+    of g's targets; the rest is one stable set per weak component outside g's
+    range.  outside and inside's neighbours are cut from each component's
+    universe but stay in its cover, so inside is covered only by taking it;
+    a self-attacking inside is blocked, so it is never covered."""
     g, gatt, comps = _split(af)
-    if forced_in & gatt or forced_out & g:
-        return False  # a component's universe would drop these pins
-    return all(
-        any(_search(af, admissible=False, forced_in=forced_in, cover=c,
-                    universe=c & ~forced_out))
-        for c in comps
-    )
+    if inside & gatt or outside & g:
+        return False  # a component's universe would drop these
+    cut = outside | (_attacked_mask(af, inside) | _union(af.in_masks, inside)) & ~inside
+    return all(any(_search(af, admissible=False, cover=c, universe=c & ~cut)) for c in comps)
 
 
 def _enum_masks(af: AF, sem: Semantics) -> list[int]:
@@ -520,9 +511,14 @@ def credulous(
         return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
     if sem in (Semantics.ADM, Semantics.COM, Semantics.PRF):
         # credulously accepted under preferred/complete iff under admissible
-        return any(_search(af, admissible=True, forced_in=bit))
+        # bit joins an admissible set off its neighbourhood that attacks the
+        # attackers bit does not; mask 0 is such a set, so test for any yield
+        inn, out = _union(af.in_masks, bit), _attacked_mask(af, bit)
+        walk = _search(af, admissible=True, cover=inn & ~out,
+                       universe=af.full_mask & ~(bit | inn | out))
+        return not af.self_loop_mask & bit and next(walk, None) is not None
     if sem is Semantics.STB:
-        return _has_stable(af, forced_in=bit)
+        return _has_stable(af, inside=bit)
     exts = enumerate_extensions(af, sem, max_args=max_args)
     return any(e.mask & bit for e in exts)
 
@@ -550,7 +546,7 @@ def skeptical(
         # the grounded extension is the least complete extension
         return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
     if sem is Semantics.STB:
-        return not _has_stable(af, forced_out=bit)
+        return not _has_stable(af, outside=bit)
     exts = enumerate_extensions(af, sem, max_args=max_args)
     return all(e.mask & bit for e in exts)
 

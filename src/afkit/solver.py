@@ -53,7 +53,8 @@ class SolverConfigError(SolverError):
 
 
 class SolverRunError(SolverError):
-    """The solver process failed (bad exit code, missing binary, timeout)."""
+    """The solver process failed (bad exit code, timeout); a missing binary
+    raises SolverConfigError."""
 
 
 class SolverTimeoutError(SolverRunError):

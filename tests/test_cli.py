@@ -329,6 +329,16 @@ def test_bench_run_refuses_an_unknown_kind(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("timeout", ["inf", "1e400", "nan"])
+def test_bench_run_refuses_a_timeout_that_is_not_finite(timeout, tmp_path, capsys):
+    csv_path = tmp_path / "runs.csv"
+    code, out, err = run_cli(capsys, "bench", "run", "--sizes", "4", "--semantics", "grd",
+                             "--timeout", timeout, "--output", str(csv_path))
+    assert (code, out) == (2, "")
+    assert "timeout must be positive and finite" in err
+    assert not csv_path.exists()
+
+
 BAD_SOLVER_ENV = {
     "metasp": ("AFKIT_SOLVER_METASP", "maybe", "AFKIT_SOLVER_METASP='maybe'"),
     "config": ("AFKIT_SOLVER_CONFIG", "/nonexistent/solver.json",

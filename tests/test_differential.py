@@ -28,11 +28,14 @@ Routines that take a universe mask against the same routine run on the
 sub-framework that restrict() builds, mapped back to parent ids.
 
 The backtracking _search, in yield order, against every subset tested by
-definition and sorted into its take-first order, with random pins, cover and
+definition and sorted into its take-first order, with random cover and
 universe in both modes, and with the shapes its support rule serves: the
-grounded pins of a stable walk partly outside the universe, and cover bits
-outside it.  The conflict-free build _cf_masks against _search, sorted: the
-same sets, in ascending order, also where it skips whole blocks of sets.  The
+grounded extension, partly outside the universe, held in by a stable walk,
+and cover bits outside it.  _search has no pins; a walk that holds some
+arguments in is a cut of the universe off their neighbourhood (_pinned), and
+the tests that draw pins check the cut against the pinned definition.  The
+conflict-free build _cf_masks against _search, sorted: the same sets, in
+ascending order, also where it skips whole blocks of sets.  The
 complete walk against the plain admissible walk and brute_force: it must
 yield exactly the complete extensions, in the plain walk's order; a pinned
 leaf count on one grid fails if its defended-skip rule is dropped, and a call
@@ -65,7 +68,7 @@ from afkit import (
     verify,
     verify_grd_star,
 )
-from afkit.core import _attacked_mask, _grounded_mask, parse_apx, serialize_apx
+from afkit.core import _attacked_mask, _grounded_mask, _union, parse_apx, serialize_apx
 from afkit import semantics
 from afkit.semantics import _cf_masks, _search, _weak_component_masks
 from conftest import plus_three_cycle
@@ -293,17 +296,17 @@ def test_stable_first_semantics_match_oracle():
 
 def test_per_component_semantics_match_oracle_beside_a_three_cycle():
     for af in (plus_three_cycle(af) for af in SWEEP if af.n <= 6):
-        for sem in ("stb", "com", "prf", "sem", "stg"):
+        for sem in ("adm", "stb", "com", "prf", "sem", "stg"):
             expected = brute_force(af, sem)
             assert enumerate_extensions(af, sem) == expected, (af.attacks, sem)
-            if sem in ("stb", "sem", "stg"):
-                _assert_decisions_match(af, sem, expected)
+            _assert_decisions_match(af, sem, expected)
 
 
 def test_stable_decisions_search_the_grounded_remainder_by_component(monkeypatch):
     """CA/SA stb run one stable search per weak component of the grounded
-    remainder, as enumeration does, and none when the pin contradicts the
-    grounded extension."""
+    remainder, as enumeration does, CA each on its component cut off the
+    argument's neighbourhood, and none when the grounded extension settles
+    the query."""
     af = generate(GenSpec(kind="grid", n=2, m=8, p=0.3, seed=9))
     g = _grounded_mask(af.out_masks, af.in_masks)
     gatt = _attacked_mask(af, g)
@@ -319,8 +322,11 @@ def test_stable_decisions_search_the_grounded_remainder_by_component(monkeypatch
 
     monkeypatch.setattr(semantics, "_search", recorder)
     accepted = next(a for a in range(af.n) if any(a in e for e in stable))
+    bit = 1 << accepted
+    cut = (_attacked_mask(af, bit) | af.in_masks[accepted]) & ~bit
+    assert cut & sum(components)  # the argument's neighbourhood is cut
     assert credulous(af, "stb", accepted)
-    assert universes == components
+    assert universes == [c & ~cut for c in components]
     for fn, pins, answer in ((credulous, gatt, False), (skeptical, g, True)):
         for a in range(af.n):
             if pins >> a & 1:
@@ -389,9 +395,7 @@ def _grd_star_by_candidates(af: AF) -> ExtensionSet:
     grounded extension that avoid its targets, kept if verify_grd_star
     accepts them."""
     g = _grounded_mask(af.out_masks, af.in_masks)
-    candidates = _search(
-        af, admissible=False, forced_in=g, universe=af.full_mask & ~_attacked_mask(af, g)
-    )
+    candidates = _pinned(af, g, admissible=False, universe=af.full_mask & ~_attacked_mask(af, g))
     return ExtensionSet(
         af, [m for m in candidates if verify_grd_star(af, ArgSet(m, af.n))]
     )
@@ -475,6 +479,27 @@ def test_universe_routines_match_restricted_frameworks():
             )
 
 
+def _pinned(
+    af: AF, pins: int, *, admissible: bool, cover: int = 0, universe: int, complete: bool = False
+) -> list[int]:
+    """The sets of universe holding pins that _search's walk restricted to
+    universe would find, in its order: the walk over universe off the pins'
+    neighbourhood, each yield joined with the pins.  The pins' targets and
+    pins are in range and leave cover; an admissible walk must still attack
+    the pins' other attackers in universe.  Pins that are not conflict-free
+    (a self-attacking pin included) give nothing."""
+    pins &= universe
+    targets, attackers = _attacked_mask(af, pins), _union(af.in_masks, pins)
+    if pins & targets:
+        return []
+    cover &= ~(pins | targets)
+    if admissible:
+        cover |= attackers & universe & ~targets
+    walk = _search(af, admissible=admissible, cover=cover, complete=complete,
+                   universe=universe & ~(pins | targets | attackers))
+    return [m | pins for m in walk]
+
+
 def _search_by_definition(
     af: AF, admissible: bool, forced_in: int, cover: int, universe: int
 ) -> list[int]:
@@ -512,16 +537,13 @@ def test_search_matches_definition_in_yield_order():
             return sum(1 << i for i in range(n) if rng.random() < q)
 
         for _ in range(3):
-            forced_in, out = draw(0.1), draw(0.1)
+            pins, out = draw(0.1), draw(0.1)
             cover = draw(0.3) if rng.random() < 0.5 else 0
             universe = (draw(0.75) if rng.random() < 0.5 else af.full_mask) & ~out
             for admissible in (False, True):
-                got = list(
-                    _search(af, admissible=admissible, forced_in=forced_in, cover=cover,
-                            universe=universe)
-                )
-                expected = _search_by_definition(af, admissible, forced_in, cover, universe)
-                assert got == expected, (af.attacks, admissible, forced_in, cover, universe)
+                got = _pinned(af, pins, admissible=admissible, cover=cover, universe=universe)
+                expected = _search_by_definition(af, admissible, pins, cover, universe)
+                assert got == expected, (af.attacks, admissible, pins, cover, universe)
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 4  # most calls have an order to check
@@ -586,7 +608,7 @@ def test_cf_masks_match_the_search_where_blocks_are_skipped():
 
 
 def test_search_matches_definition_on_the_support_rule_shapes():
-    """The call shapes the support rule serves: a walk pinned by the grounded
+    """The call shapes the support rule serves: a walk holding the grounded
     extension, which lies partly outside the universe, on a universe without
     its targets, and cover bits outside the universe."""
     rng = random.Random(43)
@@ -602,16 +624,12 @@ def test_search_matches_definition_on_the_support_rule_shapes():
         some = universe & rng.getrandbits(n) & rng.getrandbits(n)
         beyond = af.full_mask & ~universe & rng.getrandbits(n)
         shapes = [(g, gatt, universe), (0, 0, some | beyond), (g, gatt, some | beyond)]
-        for forced_in, out, cover in shapes:
+        for pins, out, cover in shapes:
             cut = universe & ~out
             for admissible in (False, True):
-                got = list(
-                    _search(
-                        af, admissible=admissible, forced_in=forced_in, cover=cover, universe=cut
-                    )
-                )
-                expected = _search_by_definition(af, admissible, forced_in, cover, cut)
-                assert got == expected, (af.attacks, admissible, forced_in, cover, cut)
+                got = _pinned(af, pins, admissible=admissible, cover=cover, universe=cut)
+                expected = _search_by_definition(af, admissible, pins, cover, cut)
+                assert got == expected, (af.attacks, admissible, pins, cover, cut)
                 calls += 1
                 yielded += len(got) > 1
     assert yielded >= calls // 8  # many calls have an order to check
@@ -633,16 +651,15 @@ def test_complete_walk_keeps_every_complete_set_in_walk_order():
         _, _, comps = semantics._split(af)
         for universe in (af.full_mask, *comps):
             for _ in range(3):
-                forced_in = universe & rng.getrandbits(n) & rng.getrandbits(n)
+                pins = universe & rng.getrandbits(n) & rng.getrandbits(n)
                 kept = universe & ~(rng.getrandbits(n) & rng.getrandbits(n))
                 sub, orig = restrict(af, ArgSet(kept, n))
                 complete = {_to_parent(e.mask, orig) for e in brute_force(sub, "com")}
-                pins = dict(forced_in=forced_in, universe=kept)
-                plain = list(_search(af, admissible=True, **pins))
-                got = list(_search(af, admissible=True, complete=True, **pins))
-                assert got == [m for m in plain if m in complete], (af.attacks, pins)
-                assert set(got) == {m for m in complete if not forced_in & kept & ~m}, (
-                    af.attacks, pins)
+                plain = _pinned(af, pins, admissible=True, universe=kept)
+                got = _pinned(af, pins, admissible=True, universe=kept, complete=True)
+                assert got == [m for m in plain if m in complete], (af.attacks, pins, kept)
+                assert set(got) == {m for m in complete if not pins & kept & ~m}, (
+                    af.attacks, pins, kept)
                 calls += 1
                 cut += len(got) < len(plain)
     assert cut >= calls // 8  # the walk often drops something

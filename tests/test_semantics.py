@@ -190,8 +190,9 @@ def test_credulous_cf_is_self_attack_freeness():
 
 
 def test_credulous_rejects_a_self_attacking_pin_at_once():
-    """A pinned-in argument that attacks itself ends the search at entry,
-    not after every set of the 30 unattacked arguments ordered before it."""
+    """Credulous acceptance of an argument that attacks itself answers at
+    once, not after a walk over every set of the 30 unattacked arguments
+    ordered before it."""
     af = AF([f"a{i}" for i in range(30)] + ["x"], [("x", "x")])
 
     def alarm(signum, frame):
