@@ -13,10 +13,11 @@ triggers (from `gc.get_stats()`, after a `gc.collect()`).
 The decide table times the `decide` benchmark's costliest query kinds, CA
 stb on the sparse 2,000-argument ingest shape, where the search touches a
 few arguments but the tables span them all, CA adm on grid 100, which the
-benchmark leaves out (its NO answers once walked the whole framework; each is
-now one walk off the argument's neighbourhood), and CA/SA grd_star on `10 linked
-pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i linking them into
-one weak component, where each query enumerates every grd_star extension.
+benchmark leaves out, where each NO answer is a walk off the argument's
+neighbourhood that finds no set attacking its attackers, and CA/SA grd_star
+on `10 linked pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i
+linking them into one weak component, where each query enumerates every
+grd_star extension.
 VER stg on `grid 25 ← 3-cycle` (see below), which has no stable extension,
 reaches verify's per-component range walks, which no benchmark op reaches.
 It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
