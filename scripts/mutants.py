@@ -378,15 +378,29 @@ MUTANTS = (
     Mutant(
         "cf build tests only the block's top id",
         SEMANTICS,
-        "for x in block if not x & near]",
-        "for x in block]",
+        "blocks.append((bit, sets[sets & near == 0] | bit))",
+        "blocks.append((bit, sets | bit))",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "cf build skips the blocks it should keep",
         SEMANTICS,
-        "for top, block in blocks if not top & near",
-        "for top, block in blocks if top & near",
+        "[block for top, block in blocks if not top & near]",
+        "[block for top, block in blocks if top & near]",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "cf build returns numpy scalars",
+        SEMANTICS,
+        "numpy.concatenate([block for _, block in blocks]).tolist()",
+        "list(numpy.concatenate([block for _, block in blocks]))",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "cf build keeps uint64 past 64 arguments",
+        SEMANTICS,
+        "numpy.uint64 if af.n <= 64 else object",
+        "numpy.uint64 if af.n <= 65 else object",
         (DIFFERENTIAL,),
     ),
     Mutant(

@@ -14,7 +14,11 @@ and with `--max-args 40`.  It asks EE, CA and SA of every argument, then VER
 of sets taken from the parent's EE output: up to five extensions per
 semantics, each also with one argument dropped and with one added, and five
 seeded random sets.  The VER calls are built after the first pass, from the
-parent's answers alone, so both sides get the same calls.
+parent's answers alone, so both sides get the same calls.  Two wider
+frameworks get only uncapped EE cf and stg, the calls that reach the
+conflict-free build at its word boundary: arb 64 (p=0.35, seed 1), whose
+top argument sets the 64th bit, and `hard_cases.free_below_clique()`, whose
+76 arguments take the build past 64 bits.
 
 It prints the number of calls and each difference (at most 20), and exits 1
 if any call differs, 0 otherwise.
@@ -57,22 +61,30 @@ def git(*args: str, cwd: str = ROOT) -> str:
     ).stdout.strip()
 
 
-def write_instances(folder: str) -> dict[str, list[str]]:
-    """Write the four frameworks as APX files; map each path to its names."""
+def write_instances(folder: str) -> tuple[dict[str, list[str]], list[str]]:
+    """Write the frameworks as APX files: map each of the four's paths to its
+    names, and list the two wide ones' paths."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "scripts"),
                     os.path.join(ROOT, "tests")]
+    from afkit import GenSpec, generate
     from afkit.core import serialize_apx
     from conftest import make_af6
-    from hard_cases import arb, grid, plus_three_cycle
+    from hard_cases import arb, free_below_clique, grid, plus_three_cycle
 
-    instances = {}
-    for label, af in (("af6", make_af6()), ("grid25", grid(25)), ("arb30", arb(30)),
-                      ("grid25_cycle", plus_three_cycle(grid(25)))):
+    def write(label, af):
         path = os.path.join(folder, f"{label}.apx")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(serialize_apx(af))
-        instances[path] = [a.name for a in af.args]
-    return instances
+        return path
+
+    instances = {
+        write(label, af): [a.name for a in af.args]
+        for label, af in (("af6", make_af6()), ("grid25", grid(25)), ("arb30", arb(30)),
+                          ("grid25_cycle", plus_three_cycle(grid(25))))
+    }
+    wide = [write("arb64", generate(GenSpec(kind="arbitrary", n=64, p=0.35, seed=1))),
+            write("free_below_clique", free_below_clique())]
+    return instances, wide
 
 
 def solve(path: str, sem: str, cap: tuple[str, ...], *task: str) -> list[str]:
@@ -114,14 +126,14 @@ def main() -> int:
         clone = os.path.join(tmp, "parent")
         git("clone", "--quiet", "--no-checkout", ROOT, clone)
         git("checkout", "--quiet", sha, cwd=clone)
-        instances = write_instances(tmp)
+        instances, wide = write_instances(tmp)
         first = [
             solve(path, sem, cap, *task)
             for path, names in instances.items()
             for cap in CAPS
             for sem in SEMANTICS
             for task in [("EE",)] + [(t, "--arg", a) for t in ("CA", "SA") for a in names]
-        ]
+        ] + [solve(path, sem, ("--max-args", "0"), "EE") for path in wide for sem in ("cf", "stg")]
         parent = run_side(clone, first)
         rng = random.Random(1)
         second = [

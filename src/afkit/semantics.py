@@ -15,7 +15,11 @@ arguments no later step can take themselves.  Plain conflict-free sets,
 which need no rule, are built bottom-up instead, id by id from the lowest:
 each id joins every earlier set it does not conflict with, skipping whole the
 sets whose highest id it conflicts with, and the sets come out in ascending
-order, which ExtensionSet sorts in linear time.
+order, which ExtensionSet sorts in linear time.  The sets sharing a highest id
+are held in one numpy array, so an id filters all the sets it may join with
+one vector test; the array holds uint64 up to 64 arguments and Python ints
+above.  numpy is imported on the first build, so importing afkit, or a query
+that builds no conflict-free sets, does not load it.
 
 Where the answer depends only on complete sets (com, prf and sem's
 range-maximal candidates per component), the walk is asked for complete sets
@@ -81,7 +85,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import (
@@ -315,13 +318,20 @@ def _cf_masks(af: AF, universe: int) -> list[int]:
     Built id by id from the lowest: block v holds the sets whose highest id is
     v, each an earlier set that does not conflict with v, plus v.  A block
     whose top id conflicts with v is skipped whole, as all its sets hold it.
+    Each block is a numpy array, so v filters the blocks it keeps with one
+    vector test.  The dtype follows the framework's width: uint64 up to 64
+    arguments, Python ints (object) above.  numpy is imported here, so a
+    query that builds no conflict-free sets does not load it.
     """
-    blocks = [(0, [0])]
+    import numpy
+
+    dtype = numpy.uint64 if af.n <= 64 else object
+    blocks = [(0, numpy.zeros(1, dtype))]
     for v in _ids(universe & ~af.self_loop_mask):
         near, bit = af.out_masks[v] | af.in_masks[v], 1 << v
-        blocks.append((bit, [x | bit for top, block in blocks if not top & near
-                             for x in block if not x & near]))
-    return list(chain.from_iterable(block for _, block in blocks))
+        sets = numpy.concatenate([block for top, block in blocks if not top & near])
+        blocks.append((bit, sets[sets & near == 0] | bit))
+    return numpy.concatenate([block for _, block in blocks]).tolist()
 
 
 def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:

@@ -35,7 +35,9 @@ and cover bits outside it.  _search has no pins; a walk that holds some
 arguments in is a cut of the universe off their neighbourhood (_pinned), and
 the tests that draw pins check the cut against the pinned definition.  The
 conflict-free build _cf_masks against _search, sorted: the same sets, in
-ascending order, also where it skips whole blocks of sets.  The
+ascending order, also where it skips whole blocks of sets, and on dense
+frameworks either side of 64 arguments, where its buffer switches from uint64
+to Python ints, as plain ints.  The
 complete walk against the plain admissible walk and brute_force: it must
 yield exactly the complete extensions, in the plain walk's order; a pinned
 leaf count on one grid fails if its defended-skip rule is dropped, and a call
@@ -605,6 +607,31 @@ def test_cf_masks_match_the_search_where_blocks_are_skipped():
             )
         assert enumerate_extensions(af, "cf") == brute_force(af, "cf"), af.attacks
     assert skipped >= 400
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 76])
+def test_cf_masks_match_the_search_across_the_word_boundary(n):
+    """Dense frameworks with self-attacks on both sides of 64 arguments, where
+    the build's buffer switches from uint64 to Python ints: universes hold
+    the top id, so its bit is set in the sets and their neighbourhoods, and
+    every mask comes back a plain int."""
+    rng = random.Random(59 + n)
+    names = [f"a{i}" for i in range(n)]
+    top = 1 << (n - 1)
+    sets = 0
+    for _ in range(4):
+        p = rng.choice((0.4, 0.5, 0.6))
+        attacks = [(x, y) for x in names for y in names if x != y and rng.random() < p]
+        attacks += [(x, x) for x in names[:-1] if rng.random() < 0.1]
+        af = AF(names, attacks)
+        for universe in (af.full_mask, rng.getrandbits(n) | top):
+            got = _cf_masks(af, universe)
+            assert got == sorted(_search(af, admissible=False, universe=universe)), (
+                af.attacks, universe)
+            assert all(type(m) is int for m in got)
+            assert any(m & top for m in got)
+            sets += len(got)
+    assert sets < 60_000  # dense enough that the oracle walk stays quick
 
 
 def test_search_matches_definition_on_the_support_rule_shapes():
