@@ -37,7 +37,12 @@ as a caller asking many questions of one framework does.
 In the hard-cases table, each cell is the minimum wall time of 3 in-process
 `enumerate_extensions(af, sem, max_args=None)` calls, followed by the number of
 extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
-reads `>10 s`.  One process, no workers; the instances are those of ROADMAP:
+reads `>10 s`.  The table runs under a 2 GiB address-space limit
+(RLIMIT_AS, on this process alone), so a call whose sets outgrow it stops
+with MemoryError and its cell reads `>2 GB`: the conflict-free build fills
+2 GiB on grid 60 in under 2 s, inside numpy calls the alarm cannot
+interrupt, and would otherwise take the host's memory before 10 s.  One
+process, no workers; the instances are those of ROADMAP:
 `grid N` is `grid_dimensions(N)` with p=0.3 and seed 1, `arb N` is `arbitrary`
 with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, `← 3-cycle`
 attaches one (a cycle z0 -> z1 -> z2 -> z0 whose z0 also attacks argument id
@@ -53,6 +58,7 @@ from __future__ import annotations
 import gc
 import os
 import random
+import resource
 import signal
 import sys
 import time
@@ -80,6 +86,7 @@ RUNS = 3
 INGEST_RUNS = 5
 DECIDE_RUNS = 5
 LIMIT_S = 10
+LIMIT_GB = 2
 
 
 class Timeout(Exception):
@@ -195,6 +202,8 @@ def cell(af: AF, sem: str) -> str:
             count = len(enumerate_extensions(af, sem, max_args=None))
         except Timeout:
             return f">{LIMIT_S} s"
+        except MemoryError:
+            return f">{LIMIT_GB} GB"
         finally:
             signal.alarm(0)
         best = min(best, time.perf_counter() - start)
@@ -341,6 +350,8 @@ def main() -> None:
     decide_table()
     print()
     signal.signal(signal.SIGALRM, _alarm)
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_GB << 30, hard))
     print("| instance | " + " | ".join(SEMANTICS) + " |")
     print("|---" * (len(SEMANTICS) + 1) + "|")
     for label, build in INSTANCES:
