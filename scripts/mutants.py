@@ -13,10 +13,10 @@ tests fail, `SURVIVED` when they pass, `ERROR` when pytest could not run them
 selected (all of them by default, or those named) was killed, and 2 for an
 unknown name.
 
-The mutants cover the engines, the bench harness's kill at the time limit
-and the CLI's exit codes.  Each change to them adds its own mutants here; a
-refactor that rewrites a mutant's old text updates the entry, which
-`tests/test_mutants.py` enforces.
+The mutants cover the engines, the solver bridge's configuration checks, the
+bench harness's kill at the time limit and the CLI's exit codes.  Each change
+to them adds its own mutants here; a refactor that rewrites a mutant's old
+text updates the entry, which `tests/test_mutants.py` enforces.
 """
 from __future__ import annotations
 
@@ -437,6 +437,22 @@ MUTANTS = (
         "if any(_search(af, admissible=False, cover=c, universe=c)):",
         "if False:",
         (DIFFERENTIAL,),
+    ),
+    # the solver configuration's one construction-time check and one
+    # precondition check
+    Mutant(
+        "solver config accepts a blank command",
+        "src/afkit/solver.py",
+        'if not tokens:\n            raise SolverConfigError("solver command is empty")',
+        'if False:\n            raise SolverConfigError("solver command is empty")',
+        ("tests/test_solver.py", CLI_TESTS),
+    ),
+    Mutant(
+        "metasp refusal dropped from the shared solver check",
+        "src/afkit/solver.py",
+        "if is_optimization_encoding(encoding) and not config.metasp_capable:",
+        "if False:",
+        ("tests/test_solver.py", "tests/test_bench.py"),
     ),
     # the bench harness's one deadline and the CLI's one exit-code map
     Mutant(

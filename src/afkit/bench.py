@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from math import inf, isqrt
 from typing import Iterable, Sequence
 
-from .encodings import EncodingId, emit_job, is_optimization_encoding
+from .encodings import EncodingId, emit_job
 from .generators import GenSpec, generate
 from .semantics import Semantics, enumerate_extensions
-from .solver import SolverConfig, run_job
+from .solver import SolverConfig, require_solver, run_job
 
 CSV_COLUMNS = [
     "kind",
@@ -138,10 +138,12 @@ def run_one(
     timeout: float | None = None,
     solver_config: SolverConfig | None = None,
 ) -> BenchRecord:
-    """Run one timed solve in a child process group killed at the limit."""
+    """Run one timed solve in a child process group killed at the limit.
+    An engine that cannot run is refused here, before the fork."""
     import multiprocessing  # here, so that importing afkit stays light
 
     sem = Semantics(semantics).value
+    solver_config = _validate_engines([engine], solver_config)
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
@@ -241,7 +243,12 @@ def plan_runs(
     return runs
 
 
-def _validate_engines(engines: Sequence[str], solver_config: SolverConfig | None) -> None:
+def _validate_engines(
+    engines: Sequence[str], solver_config: SolverConfig | None
+) -> SolverConfig | None:
+    """Refuse unknown engines (ValueError) and external engines the solver
+    cannot run (SolverConfigError); return the solver config the runs use,
+    read from the environment only when some engine is external."""
     if not engines:
         raise ValueError("need at least one engine")
     for engine in engines:
@@ -254,12 +261,8 @@ def _validate_engines(engines: Sequence[str], solver_config: SolverConfig | None
             EncodingId(encoding)
         except ValueError:
             raise ValueError(f"unknown encoding in engine {engine!r}") from None
-        if solver_config is None:
-            raise ValueError(f"engine {engine!r} needs a configured solver")
-        if is_optimization_encoding(encoding) and not solver_config.metasp_capable:
-            raise ValueError(
-                f"engine {engine!r} needs a metasp-capable solver configuration"
-            )
+        solver_config = require_solver(solver_config, encoding)
+    return solver_config
 
 
 def run_bench(
@@ -276,15 +279,12 @@ def run_bench(
     solver_config: SolverConfig | None = None,
 ) -> list[BenchRecord]:
     """Run the whole benchmark plan, one run at a time; one record per run,
-    in plan order.  The solver environment is read only when some engine is
-    external."""
+    in plan order.  Every engine is checked before the first run."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if timeout is not None and not 0 < timeout < inf:
         raise ValueError("timeout must be positive and finite")
-    if solver_config is None and any(e.startswith("external:") for e in engines):
-        solver_config = SolverConfig.from_env()
-    _validate_engines(engines, solver_config)
+    solver_config = _validate_engines(engines, solver_config)
 
     runs = plan_runs(
         kinds=kinds,

@@ -1,18 +1,21 @@
 """Bridge to an external ASP solver (gringo/clasp style command line).
 
 The solver is configured, never bundled: either construct a SolverConfig
-directly or set environment variables —
+directly or set two environment variables —
 
   AFKIT_SOLVER_CMD     command line; a literal {input} token is replaced by
                        the path of a temp file holding the program, otherwise
                        the program is piped to stdin
   AFKIT_SOLVER_METASP  true (1/true/yes/on, any case) if the command
                        interprets the optimize(1,1,incl) / #minimize[pred]
-                       subset-minimization convention; false when empty or
-                       0/false/no/off; any other value is an error
-  AFKIT_SOLVER_CONFIG  path of a JSON file with keys "command" (a non-empty
-                       string) and "metasp_capable" (a JSON boolean); the
-                       variables above win
+                       subset-minimization convention; false when unset, empty
+                       or 0/false/no/off; any other value is an error, even
+                       when no command is set
+
+A SolverConfig parses its command with shlex when it is built, so a blank or
+unparsable command raises SolverConfigError there.  require_solver is the one
+precondition check before a job runs: it refuses a missing configuration, and
+an optimization encoding on a solver not declared metasp-capable.
 
 Output parsing follows the clasp convention: each model is the line after an
 "Answer: N" line, and in/1 atoms name the extension members.  Exit codes 0,
@@ -21,7 +24,6 @@ interrupted-with-models in them); anything else is a run failure.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 import shlex
@@ -30,7 +32,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .core import parse_apx
-from .encodings import AspJob
+from .encodings import AspJob, EncodingId, is_optimization_encoding
 from .semantics import ExtensionSet
 
 _OK_EXIT_CODES = frozenset({0, 10, 20, 30})
@@ -38,7 +40,6 @@ _IN_ATOM_RE = re.compile(r"\bin\(([a-z][a-z0-9_]*)\)")
 
 ENV_COMMAND = "AFKIT_SOLVER_CMD"
 ENV_METASP = "AFKIT_SOLVER_METASP"
-ENV_CONFIG = "AFKIT_SOLVER_CONFIG"
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("", "0", "false", "no", "off")
@@ -67,52 +68,58 @@ class SolverOutputError(SolverError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A solver command line and whether it understands the metasp
+    convention.  Raises SolverConfigError for a command that is blank or
+    that shlex cannot parse."""
+
     command: str
     metasp_capable: bool = False
 
+    def __post_init__(self) -> None:
+        try:
+            tokens = shlex.split(self.command)
+        except ValueError as exc:
+            raise SolverConfigError(f"cannot parse solver command: {exc}") from None
+        if not tokens:
+            raise SolverConfigError("solver command is empty")
+
     @staticmethod
     def from_env(environ: dict[str, str] | None = None) -> "SolverConfig | None":
-        """Build a config from the environment; None when nothing is set.
+        """Build a config from the environment; None when no command is set.
 
-        Raises SolverConfigError for a metasp flag that is not a boolean, or a
-        config-file command that is not a non-empty string.
+        Raises SolverConfigError for a metasp flag that is not a boolean word,
+        or a command that is blank or cannot be parsed.
         """
         env = os.environ if environ is None else environ
-        data = {}
-        config_path = env.get(ENV_CONFIG)
-        if config_path:
-            try:
-                with open(config_path, encoding="utf-8") as handle:
-                    data = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise SolverConfigError(f"cannot read solver config {config_path}: {exc}")
-            if not isinstance(data, dict):
-                raise SolverConfigError(f"solver config {config_path} must be a JSON object")
-            if "command" in data and not (
-                isinstance(data["command"], str) and data["command"].strip()
-            ):
-                raise SolverConfigError(
-                    f"solver config {config_path}: command must be a non-empty string"
-                )
-            if "metasp_capable" in data and not isinstance(data["metasp_capable"], bool):
-                raise SolverConfigError(
-                    f"solver config {config_path}: metasp_capable must be true or false"
-                )
-        metasp = env.get(ENV_METASP)
-        if metasp is None:
-            capable = data.get("metasp_capable", False)
-        elif metasp.lower() in _TRUE_WORDS:
-            capable = True
-        elif metasp.lower() in _FALSE_WORDS:
-            capable = False
-        else:
+        metasp = env.get(ENV_METASP, "").lower()
+        if metasp not in _TRUE_WORDS + _FALSE_WORDS:
             raise SolverConfigError(
-                f"{ENV_METASP}={metasp!r} is not 1/true/yes/on or empty/0/false/no/off"
+                f"{ENV_METASP}={env[ENV_METASP]!r} is not 1/true/yes/on or empty/0/false/no/off"
             )
-        command = env.get(ENV_COMMAND) or data.get("command")
+        command = env.get(ENV_COMMAND)
         if not command:
             return None
-        return SolverConfig(command=command, metasp_capable=capable)
+        return SolverConfig(command=command, metasp_capable=metasp in _TRUE_WORDS)
+
+
+def require_solver(
+    config: SolverConfig | None, encoding: EncodingId | str
+) -> SolverConfig:
+    """The config a job of this encoding runs with: the one given, or the
+    environment's when None.  Raises SolverConfigError when there is none, or
+    when the encoding is an optimization encoding and the config is not
+    declared metasp-capable."""
+    if config is None:
+        config = SolverConfig.from_env()
+    if config is None:
+        raise SolverConfigError(f"no solver configured; set {ENV_COMMAND}")
+    if is_optimization_encoding(encoding) and not config.metasp_capable:
+        raise SolverConfigError(
+            f"encoding {EncodingId(encoding).value} needs a metasp-capable solver "
+            f"(set {ENV_METASP}=1 if the configured command understands "
+            "optimize(1,1,incl))"
+        )
+    return config
 
 
 def parse_answer_sets(output: str) -> list[frozenset[str]]:
@@ -147,13 +154,7 @@ def run_program(
     timeout: float | None = None,
 ) -> list[frozenset[str]]:
     """Run one ASP program through the configured command and parse models."""
-    try:
-        tokens = shlex.split(config.command)
-    except ValueError as exc:
-        raise SolverConfigError(f"cannot parse solver command: {exc}")
-    if not tokens:
-        raise SolverConfigError("solver command is empty")
-
+    tokens = shlex.split(config.command)  # parses: the config checked it
     uses_file = any("{input}" in token for token in tokens)
     tmp_path = None
     try:
@@ -199,18 +200,7 @@ def run_job(
     timeout: float | None = None,
 ) -> ExtensionSet:
     """Solve one emitted job and return its extensions in canonical order."""
-    if config is None:
-        config = SolverConfig.from_env()
-    if config is None:
-        raise SolverConfigError(
-            f"no solver configured; set {ENV_COMMAND} or {ENV_CONFIG}"
-        )
-    if job.is_optimization and not config.metasp_capable:
-        raise SolverConfigError(
-            f"encoding {job.encoding.value} needs a metasp-capable solver "
-            f"(set {ENV_METASP}=1 if the configured command understands "
-            "optimize(1,1,incl))"
-        )
+    config = require_solver(config, job.encoding)
     af = parse_apx(job.instance)
     models = run_program(job.full_text(), config, timeout=timeout)
     seen = set()

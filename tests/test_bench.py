@@ -21,7 +21,7 @@ from afkit.bench import (
     write_csv,
 )
 from afkit.generators import GenSpec
-from afkit.solver import SolverConfig
+from afkit.solver import SolverConfig, SolverConfigError
 
 STUB = pathlib.Path(__file__).parent / "stub_solver.py"
 
@@ -176,15 +176,15 @@ def test_run_bench_end_to_end():
 
 
 def test_external_engine_requires_solver_config(monkeypatch):
-    for var in ("AFKIT_SOLVER_CMD", "AFKIT_SOLVER_METASP", "AFKIT_SOLVER_CONFIG"):
+    for var in ("AFKIT_SOLVER_CMD", "AFKIT_SOLVER_METASP"):
         monkeypatch.delenv(var, raising=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverConfigError, match="no solver configured"):
         run_bench(kinds=["arbitrary"], sizes=[5], ps=[0.2],
                   semantics=["grd"], engines=["external:cf"], trials=1)
 
 
 def test_optimization_engine_requires_metasp_capability():
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverConfigError, match="prf_metasp needs a metasp-capable"):
         run_bench(kinds=["arbitrary"], sizes=[5], ps=[0.2],
                   semantics=["prf"], engines=["external:prf_metasp"],
                   trials=1, solver_config=stub_config("echo", metasp=False))
@@ -198,6 +198,19 @@ def test_unknown_engine_rejected():
         run_bench(kinds=["arbitrary"], sizes=[5], ps=[0.2],
                   semantics=["grd"], engines=["external:mystery"], trials=1,
                   solver_config=stub_config("echo"))
+
+
+def test_run_one_refuses_an_engine_before_it_forks(monkeypatch):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("run_one forked a child for an engine it cannot run")
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match="unknown engine 'clingo'"):
+        run_one(small_spec(), "grd", "clingo")
+    with pytest.raises(ValueError, match="unknown encoding"):
+        run_one(small_spec(), "grd", "external:mystery", solver_config=stub_config("echo"))
+    with pytest.raises(SolverConfigError, match="prf_metasp"):
+        run_one(small_spec(), "prf", "external:prf_metasp",
+                solver_config=stub_config("echo", metasp=False))
 
 
 # -------------------------------------------------------------- CSV + sums

@@ -341,8 +341,8 @@ def test_bench_run_refuses_a_timeout_that_is_not_finite(timeout, tmp_path, capsy
 
 BAD_SOLVER_ENV = {
     "metasp": ("AFKIT_SOLVER_METASP", "maybe", "AFKIT_SOLVER_METASP='maybe'"),
-    "config": ("AFKIT_SOLVER_CONFIG", "/nonexistent/solver.json",
-               "cannot read solver config"),
+    "blank": ("AFKIT_SOLVER_CMD", "   ", "solver command is empty"),
+    "unparsable": ("AFKIT_SOLVER_CMD", 'clingo "x', "cannot parse solver command"),
 }
 
 
@@ -365,6 +365,29 @@ def test_external_bench_run_with_a_bad_solver_config_is_usage_error(
     monkeypatch.setenv(var, value)
     code, out, err = run_cli(capsys, "bench", "run", "--sizes", "4",
                              "--semantics", "grd", "--engines", "external:cf",
+                             "--output", str(tmp_path / "runs.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
+UNRUNNABLE_ENGINE = {
+    "metasp": ({"AFKIT_SOLVER_CMD": "clingo {input}"}, "external:prf_metasp",
+               "prf_metasp needs a metasp-capable solver"),
+    "none": ({}, "external:cf", "no solver configured"),
+}
+
+
+@pytest.mark.parametrize("setting", UNRUNNABLE_ENGINE.values(), ids=UNRUNNABLE_ENGINE)
+def test_bench_run_refuses_an_engine_the_solver_cannot_run(setting, tmp_path,
+                                                           capsys, monkeypatch):
+    env, engine, message = setting
+    for var in ("AFKIT_SOLVER_CMD", "AFKIT_SOLVER_METASP"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run_cli(capsys, "bench", "run", "--sizes", "4",
+                             "--semantics", "prf", "--engines", engine,
                              "--output", str(tmp_path / "runs.csv"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
