@@ -81,7 +81,7 @@ from afkit import semantics  # noqa: E402
 from afkit.bench import grid_dimensions  # noqa: E402
 from afkit.core import _char_mask, _grounded_mask, parse_apx, serialize_apx  # noqa: E402
 
-SEMANTICS = ("cf", "com", "stb", "prf", "sem", "stg", "grd_star")
+SEMANTICS = ("cf", "adm", "com", "stb", "prf", "sem", "stg", "grd_star")
 RUNS = 3
 INGEST_RUNS = 5
 DECIDE_RUNS = 5

@@ -364,36 +364,36 @@ MUTANTS = (
     Mutant(
         "cf build takes conflicts from out_masks only",
         SEMANTICS,
-        "near, bit = af.out_masks[v] | af.in_masks[v], 1 << v",
-        "near, bit = af.out_masks[v], 1 << v",
+        "near, bit = out[v] | inn[v], 1 << v",
+        "near, bit = out[v], 1 << v",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "cf build keeps self-attackers among the ids",
         SEMANTICS,
-        "for v in _ids(universe & ~af.self_loop_mask):",
-        "for v in _ids(universe):",
+        "ids = _ids(universe & ~af.self_loop_mask)",
+        "ids = _ids(universe)",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "cf build tests only the block's top id",
         SEMANTICS,
-        "blocks.append((bit, sets[sets & near == 0] | bit))",
-        "blocks.append((bit, sets | bit))",
+        "keep = rows[0] & near == 0",
+        "keep = rows[0] == rows[0]",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "cf build skips the blocks it should keep",
         SEMANTICS,
-        "[block for top, block in blocks if not top & near]",
-        "[block for top, block in blocks if top & near]",
+        "[b for top, b in blocks if not top & near]",
+        "[b for top, b in blocks if top & near]",
         (DIFFERENTIAL,),
     ),
     Mutant(
         "cf build returns numpy scalars",
         SEMANTICS,
-        "numpy.concatenate([block for _, block in blocks]).tolist()",
-        "list(numpy.concatenate([block for _, block in blocks]))",
+        "return sets.tolist()",
+        "return list(sets)",
         (DIFFERENTIAL,),
     ),
     Mutant(
@@ -401,6 +401,28 @@ MUTANTS = (
         SEMANTICS,
         "numpy.uint64 if af.n <= 64 else object",
         "numpy.uint64 if af.n <= 65 else object",
+        (DIFFERENTIAL,),
+    ),
+    # the admissible build: its prune rule and its final filter
+    Mutant(
+        "adm build keeps sets with a threat at the end",
+        SEMANTICS,
+        "sets = sets[host & ~att == 0]",
+        "sets = sets",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "adm build prunes threats the next id attacks",
+        SEMANTICS,
+        "keep = host & ~(att | later[j + 1]) == 0",
+        "keep = host & ~(att | later[min(j + 2, len(ids))]) == 0",
+        (DIFFERENTIAL,),
+    ),
+    Mutant(
+        "adm build filters the sets alone",
+        SEMANTICS,
+        "block = [sets[keep], att[keep], host[keep]]",
+        "block = [sets[keep], att, host]",
         (DIFFERENTIAL,),
     ),
     Mutant(

@@ -15,10 +15,11 @@ of sets taken from the parent's EE output: up to five extensions per
 semantics, each also with one argument dropped and with one added, and five
 seeded random sets.  The VER calls are built after the first pass, from the
 parent's answers alone, so both sides get the same calls.  Two wider
-frameworks get only uncapped EE cf and stg, the calls that reach the
-conflict-free build at its word boundary: arb 64 (p=0.35, seed 1), whose
-top argument sets the 64th bit, and `hard_cases.free_below_clique()`, whose
-76 arguments take the build past 64 bits.
+frameworks get only uncapped EE cf, adm and stg, the calls that reach the
+conflict-free and admissible builds at their word boundary: arb 64 (p=0.35,
+seed 1), whose top argument sets the 64th bit, and
+`hard_cases.free_below_clique()`, whose 76 arguments take the builds past 64
+bits.
 
 It prints the number of calls and each difference (at most 20), and exits 1
 if any call differs, 0 otherwise.
@@ -133,7 +134,8 @@ def main() -> int:
             for cap in CAPS
             for sem in SEMANTICS
             for task in [("EE",)] + [(t, "--arg", a) for t in ("CA", "SA") for a in names]
-        ] + [solve(path, sem, ("--max-args", "0"), "EE") for path in wide for sem in ("cf", "stg")]
+        ] + [solve(path, sem, ("--max-args", "0"), "EE")
+             for path in wide for sem in ("cf", "adm", "stg")]
         parent = run_side(clone, first)
         rng = random.Random(1)
         second = [

@@ -9,7 +9,8 @@ parts rely on.
 The five *_metasp encodings end in a subset-minimization directive written in
 the schematic ``#minimize[pred]`` form together with an optimize(1,1,incl)
 fact; they only run on a pipeline that interprets that optimization mode,
-which is why their jobs are flagged is_optimization.
+which is why is_optimization_encoding flags them and the solver bridge
+refuses their jobs unless the configured solver is declared capable.
 """
 from __future__ import annotations
 
@@ -275,7 +276,6 @@ class AspJob:
     semantics: Semantics
     instance: str
     program: str
-    is_optimization: bool
 
     def full_text(self) -> str:
         return self.instance + "\n" + self.program
@@ -308,5 +308,4 @@ def emit_job(af: AF, encoding: EncodingId | str) -> AspJob:
         semantics=_SEMANTICS_OF[eid],
         instance=emit_instance(af),
         program=emit_encoding(eid),
-        is_optimization=is_optimization_encoding(eid),
     )

@@ -11,15 +11,18 @@ later step could take.  Admissibility asks this of the unattacked attackers
 of the chosen set (the must-out rule of Nofal, Atkinson & Dunne, "Algorithms
 for decision problems in argument systems under preferred semantics", AIJ
 2014), and the range condition of stable, semi-stable and stage of the cover
-arguments no later step can take themselves.  Plain conflict-free sets,
-which need no rule, are built bottom-up instead, id by id from the lowest:
-each id joins every earlier set it does not conflict with, skipping whole the
-sets whose highest id it conflicts with, and the sets come out in ascending
-order, which ExtensionSet sorts in linear time.  The sets sharing a highest id
-are held in one numpy array, so an id filters all the sets it may join with
-one vector test; the array holds uint64 up to 64 arguments and Python ints
-above.  numpy is imported on the first build, so importing afkit, or a query
-that builds no conflict-free sets, does not load it.
+arguments no later step can take themselves.  Enumerated conflict-free and
+admissible sets are built bottom-up instead, id by id: each id joins every
+earlier set it does not conflict with, skipping whole the sets whose last id
+it conflicts with.  The sets sharing a last id are held in one numpy array,
+so an id filters all the sets it may join with one vector test; the array
+holds uint64 up to 64 arguments and Python ints above.  Conflict-free sets
+take the ids from the lowest and come out in ascending order, which
+ExtensionSet sorts in linear time.  Admissible sets take them by descending
+out-degree and carry their targets and attackers, so the must-out rule
+becomes one vector test per id: a set with an unattacked attacker that no
+later id attacks is dropped.  numpy is imported on the first build, so
+importing afkit, or a query that builds no sets, does not load it.
 
 Where the answer depends only on complete sets (com, prf and sem's
 range-maximal candidates per component), the walk is asked for complete sets
@@ -125,7 +128,8 @@ class ExtensionSet:
     distinct masks in any order: every producer hands distinct ones (the
     walks, the joins and grd_star's worklist by construction, the solver's
     models after run_job's dedupe), so none is deduplicated here.  The sort
-    takes linear time on the ascending output of the conflict-free build.
+    takes linear time on the ascending output of the conflict-free build; the
+    admissible build hands its sets in build order.
     """
 
     __slots__ = ("af", "_masks")
@@ -312,26 +316,54 @@ def _defends_left_out(
     return _unsupported(attackers, uncountered & ~chosen, uncountered)
 
 
-def _cf_masks(af: AF, universe: int) -> list[int]:
-    """The conflict-free subsets of universe as bitmasks, ascending.
+def _cf_masks(af: AF, universe: int, admissible: bool = False) -> list[int]:
+    """The conflict-free (or admissible) subsets of universe as bitmasks:
+    conflict-free ones ascending, admissible ones in build order.
 
-    Built id by id from the lowest: block v holds the sets whose highest id is
-    v, each an earlier set that does not conflict with v, plus v.  A block
-    whose top id conflicts with v is skipped whole, as all its sets hold it.
-    Each block is a numpy array, so v filters the blocks it keeps with one
-    vector test.  The dtype follows the framework's width: uint64 up to 64
-    arguments, Python ints (object) above.  numpy is imported here, so a
-    query that builds no conflict-free sets does not load it.
+    Built id by id in a fixed order: block v holds the sets whose last id in
+    that order is v, each an earlier set that does not conflict with v, plus
+    v.  A block whose top id conflicts with v is skipped whole, as all its
+    sets hold it.  A block's rows are numpy arrays, so v filters the blocks
+    it keeps with one vector test.  The dtype follows the framework's width:
+    uint64 up to 64 arguments, Python ints (object) above.  numpy is imported
+    here, so a query that builds no sets does not load it.
+
+    Conflict-free sets take the ids ascending, so they come out ascending.
+    Admissible sets take them by descending out-degree in universe (ties by
+    id), and a block's rows are its sets, their targets (att) and their
+    attackers in universe (host).  The must-out rule of _search prunes them
+    as a vector test: v drops each new set with a threat, an attacker the
+    set does not attack (host & ~att), that no later id of the order
+    attacks, since later steps only add later ids.  The sets left with no
+    threat at the end are the admissible ones.
     """
     import numpy
 
+    out, inn = af.out_masks, af.in_masks
     dtype = numpy.uint64 if af.n <= 64 else object
-    blocks = [(0, numpy.zeros(1, dtype))]
-    for v in _ids(universe & ~af.self_loop_mask):
-        near, bit = af.out_masks[v] | af.in_masks[v], 1 << v
-        sets = numpy.concatenate([block for top, block in blocks if not top & near])
-        blocks.append((bit, sets[sets & near == 0] | bit))
-    return numpy.concatenate([block for _, block in blocks]).tolist()
+    ids = _ids(universe & ~af.self_loop_mask)
+    if admissible:
+        ids.sort(key=lambda i: -(out[i] & universe).bit_count())
+    # later[j]: the targets of the ids from position j of the order on
+    later = [0] * (len(ids) + 1)
+    for j in range(len(ids) - 1, -1, -1):
+        later[j] = later[j + 1] | out[ids[j]]
+    blocks = [(0, [numpy.zeros(1, dtype)] * (3 if admissible else 1))]
+    for j, v in enumerate(ids):
+        near, bit = out[v] | inn[v], 1 << v
+        rows = [numpy.concatenate(r) for r in zip(*[b for top, b in blocks if not top & near])]
+        keep = rows[0] & near == 0
+        block = [r[keep] | add for r, add in zip(rows, (bit, out[v], inn[v] & universe))]
+        if admissible:
+            sets, att, host = block
+            keep = host & ~(att | later[j + 1]) == 0
+            block = [sets[keep], att[keep], host[keep]]
+        blocks.append((bit, block))
+    sets, *rest = [numpy.concatenate(r) for r in zip(*[b for _, b in blocks])]
+    if admissible:
+        att, host = rest
+        sets = sets[host & ~att == 0]
+    return sets.tolist()
 
 
 def _weak_component_masks(af: AF, universe: int | None = None) -> list[int]:
@@ -417,7 +449,7 @@ def _enum_masks(af: AF, sem: Semantics) -> list[int]:
     if sem is Semantics.CF:
         return _cf_masks(af, af.full_mask)
     if sem is Semantics.ADM:
-        return list(_search(af, admissible=True))
+        return _cf_masks(af, af.full_mask, admissible=True)
     if sem is Semantics.GRD_STAR:
         from . import resolution
 

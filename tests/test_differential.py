@@ -37,7 +37,9 @@ the tests that draw pins check the cut against the pinned definition.  The
 conflict-free build _cf_masks against _search, sorted: the same sets, in
 ascending order, also where it skips whole blocks of sets, and on dense
 frameworks either side of 64 arguments, where its buffer switches from uint64
-to Python ints, as plain ints.  The
+to Python ints, as plain ints.  Its admissible build against brute_force
+and against the admissible _search on random universes, on those shapes and
+either side of 64 arguments, sorted, each set once.  The
 complete walk against the plain admissible walk and brute_force: it must
 yield exactly the complete extensions, in the plain walk's order; a pinned
 leaf count on one grid fails if its defended-skip rule is dropped, and a call
@@ -632,6 +634,74 @@ def test_cf_masks_match_the_search_across_the_word_boundary(n):
             assert any(m & top for m in got)
             sets += len(got)
     assert sets < 60_000  # dense enough that the oracle walk stays quick
+
+
+def test_adm_build_matches_brute_force():
+    """The admissible build against the oracle, with self-attacks: each
+    admissible set once, whatever its build order."""
+    rng = random.Random(61)
+    nontrivial = 0
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.45))
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+        got = _cf_masks(af, af.full_mask, admissible=True)
+        assert len(got) == len(set(got)), af.attacks
+        expected = brute_force(af, "adm")
+        assert sorted(got) == list(expected.masks()), af.attacks
+        assert enumerate_extensions(af, "adm") == expected, af.attacks
+        # some conflict-free set is not admissible, so the filters have work
+        nontrivial += len(expected) < len(brute_force(af, "cf"))
+    assert nontrivial >= 400
+
+
+def test_adm_build_matches_the_search_on_random_universes():
+    rng = random.Random(67)
+    for _ in range(1000):
+        n = rng.randint(0, 12)
+        names = [f"a{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.45))
+        af = AF(names, [(x, y) for x in names for y in names if rng.random() < p])
+        for universe in (af.full_mask, rng.getrandbits(n)):
+            got = _cf_masks(af, universe, admissible=True)
+            assert len(got) == len(set(got)), (af.attacks, universe)
+            assert sorted(got) == sorted(_search(af, admissible=True, universe=universe)), (
+                af.attacks, universe)
+
+
+def test_adm_build_matches_the_search_where_blocks_are_skipped():
+    rng = random.Random(71)
+    for _ in range(300):
+        af = _free_below_attackers(rng)
+        for universe in (af.full_mask, rng.getrandbits(af.n)):
+            got = _cf_masks(af, universe, admissible=True)
+            assert sorted(got) == sorted(_search(af, admissible=True, universe=universe)), (
+                af.attacks, universe)
+        assert enumerate_extensions(af, "adm") == brute_force(af, "adm"), af.attacks
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 76])
+def test_adm_build_matches_the_search_across_the_word_boundary(n):
+    """Dense frameworks either side of 64 arguments whose top id attacks each
+    of its attackers, so it defends itself: universes hold it, the admissible
+    sets that hold it set its bit in the buffer, and every mask comes back a
+    plain int."""
+    rng = random.Random(73 + n)
+    names = [f"a{i}" for i in range(n)]
+    top = 1 << (n - 1)
+    for _ in range(4):
+        p = rng.choice((0.4, 0.5, 0.6))
+        attacks = [(x, y) for x in names for y in names if x != y and rng.random() < p]
+        attacks += [(names[-1], x) for x, y in attacks if y == names[-1]]
+        attacks += [(x, x) for x in names[:-1] if rng.random() < 0.1]
+        af = AF(names, attacks)
+        for universe in (af.full_mask, rng.getrandbits(n) | top):
+            got = _cf_masks(af, universe, admissible=True)
+            assert sorted(got) == sorted(_search(af, admissible=True, universe=universe)), (
+                af.attacks, universe)
+            assert all(type(m) is int for m in got)
+            assert top in got
 
 
 def test_search_matches_definition_on_the_support_rule_shapes():

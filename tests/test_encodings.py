@@ -102,7 +102,7 @@ def test_emit_job_bundles_everything():
     assert isinstance(job, AspJob)
     assert job.encoding is EncodingId.SEM_METASP
     assert job.semantics is Semantics.SEM
-    assert job.is_optimization is True
+    assert is_optimization_encoding(job.encoding)
     assert job.instance == serialize_apx(af)
     assert job.program == emit_encoding("sem_metasp")
     assert job.full_text() == job.instance + "\n" + job.program
