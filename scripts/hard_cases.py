@@ -39,9 +39,10 @@ In the hard-cases table, each cell is the minimum wall time of 3 in-process
 extensions.  A call that runs past 10 s is stopped by SIGALRM and its cell
 reads `>10 s`.  The table runs under a 2 GiB address-space limit
 (RLIMIT_AS, on this process alone), so a call whose sets outgrow it stops
-with MemoryError and its cell reads `>2 GB`: the conflict-free build fills
-2 GiB on grid 60 in under 2 s, inside numpy calls the alarm cannot
-interrupt, and would otherwise take the host's memory before 10 s.  One
+with MemoryError and its cell reads `>2 GB`: the conflict-free and
+admissible builds fill 2 GiB on grid 60 within seconds, inside numpy calls
+the alarm cannot interrupt, and would otherwise take the host's memory
+before 10 s.  One
 process, no workers; the instances are those of ROADMAP:
 `grid N` is `grid_dimensions(N)` with p=0.3 and seed 1, `arb N` is `arbitrary`
 with p=0.15 and seed 1, `+ 3-cycle` joins a disjoint odd cycle, `← 3-cycle`
