@@ -331,12 +331,34 @@ MUTANTS = (
         "universe=c & ~cut)) for c in comps[:1])",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
+    # the one existence query behind credulous and skeptical
+    Mutant(
+        "sem/stg stable switch dropped",
+        SEMANTICS,
+        "and _has_stable(af):",
+        "and False:",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "grounded test ignores inside",
+        SEMANTICS,
+        "g & inside == inside",
+        "True",
+        ("tests/test_semantics.py",),
+    ),
     # credulous adm/com/prf as a cut of the universe
     Mutant(
         "credulous tests the walk for a true yield",
         SEMANTICS,
         "next(walk, None) is not None",
         "any(walk)",
+        ("tests/test_semantics.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "credulous walk admits a self-attacker",
+        SEMANTICS,
+        "not af.self_loop_mask & inside and next(",
+        "next(",
         ("tests/test_semantics.py", DIFFERENTIAL),
     ),
     Mutant(

@@ -20,11 +20,8 @@ from .core import (
     Argument,
     ArgSet,
     SccPartition,
-    attacked_by,
-    characteristic,
     is_conflict_free,
     parse_apx,
-    range_of,
     restrict,
     sccs,
     serialize_apx,
@@ -97,9 +94,7 @@ __all__ = [
     "SolverOutputError",
     "SolverRunError",
     "SolverTimeoutError",
-    "attacked_by",
     "brute_force",
-    "characteristic",
     "credulous",
     "emit_encoding",
     "emit_instance",
@@ -117,7 +112,6 @@ __all__ = [
     "minimal_relevant",
     "mutual_pairs",
     "parse_apx",
-    "range_of",
     "read_csv",
     "resolutions",
     "restrict",

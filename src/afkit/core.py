@@ -318,23 +318,8 @@ def serialize_apx(af: AF) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def attacked_by(af: AF, s: ArgSet) -> ArgSet:
-    """All arguments some member of s attacks."""
-    return ArgSet(_attacked_mask(af, s.mask), af.n)
-
-
-def range_of(af: AF, s: ArgSet) -> ArgSet:
-    """s together with everything it attacks."""
-    return ArgSet(s.mask | _attacked_mask(af, s.mask), af.n)
-
-
 def is_conflict_free(af: AF, s: ArgSet) -> bool:
     return _attacked_mask(af, s.mask) & s.mask == 0
-
-
-def characteristic(af: AF, s: ArgSet) -> ArgSet:
-    """Arguments whose every attacker is attacked by s."""
-    return ArgSet(_char_mask(af, s.mask), af.n)
 
 
 def _attacked_mask(af: AF, mask: int) -> int:

@@ -58,10 +58,12 @@ extensions are its stable sets when it has any, since a framework with a
 stable extension has exactly its stable ones as semi-stable and stage
 extensions (Caminada, "Semi-stable semantics", COMMA 2006; Verheij 1996).
 Only a component without a stable set runs the range-maximal filter, so a
-disjoint odd cycle costs what the cycle costs.  Acceptance and verification
-find stable sets per component of the grounded remainder, as enumeration
-does; sem/stg switch to stb only when the whole framework has a stable
-extension, and otherwise fall back to the range-maximal filters.  Verification
+disjoint odd cycle costs what the cycle costs.  Credulous and skeptical
+acceptance are one existence query, _exists: whether some extension holds the
+argument, or avoids it.  Acceptance and verification find stable sets per
+component of the grounded remainder, as enumeration does; sem/stg switch to
+stb only when the whole framework has a stable extension, and otherwise fall
+back to the range-maximal filters.  Verification
 checks range-maximality per weak component: a component the set is stable on
 passes, one with a stable set of its own fails, and only the others are
 walked.  It runs down the semantics once, cheapest test first: one attacked
@@ -530,6 +532,38 @@ def verify(af: AF, semantics: Semantics | str, s: ArgSet) -> bool:
     return True
 
 
+def _exists(
+    af: AF, sem: Semantics, inside: int, outside: int, max_args: int | None
+) -> bool:
+    """Whether some sem extension holds inside and avoids outside (each one
+    argument or none).  cf/adm/com/grd/stb, prf with inside, and sem/stg with
+    a stable extension answer by short-circuit search; the rest (prf with
+    outside, sem/stg without one, grd_star) enumerate, refusing frameworks
+    beyond max_args arguments."""
+    if sem in (Semantics.SEM, Semantics.STG) and _has_stable(af):
+        sem = Semantics.STB  # its sem/stg extensions are then its stable ones
+    if sem is Semantics.STB:
+        return _has_stable(af, inside, outside)
+    if sem is Semantics.GRD or sem is Semantics.COM and outside:
+        # the grounded extension is the least complete extension
+        g = _grounded_mask(af.out_masks, af.in_masks)
+        return g & inside == inside and not g & outside
+    if inside and sem in (Semantics.CF, Semantics.ADM, Semantics.COM, Semantics.PRF):
+        if sem is Semantics.CF:
+            return not af.self_loop_mask & inside
+        # in a preferred/complete extension iff in an admissible set: inside
+        # joins an admissible set off its neighbourhood that attacks the
+        # attackers inside does not; mask 0 is such a set, so test for any yield
+        inn, out = _union(af.in_masks, inside), _attacked_mask(af, inside)
+        walk = _search(af, admissible=True, cover=inn & ~out,
+                       universe=af.full_mask & ~(inside | inn | out))
+        return not af.self_loop_mask & inside and next(walk, None) is not None
+    if sem in (Semantics.CF, Semantics.ADM):
+        return True  # the empty set is conflict-free and admissible
+    exts = enumerate_extensions(af, sem, max_args=max_args)
+    return any(m & inside == inside and not m & outside for m in exts.masks())
+
+
 def credulous(
     af: AF,
     semantics: Semantics | str,
@@ -537,32 +571,10 @@ def credulous(
     *,
     max_args: int | None = DEFAULT_SEARCH_CAP,
 ) -> bool:
-    """Is arg in at least one extension?
-
-    cf/adm/com/grd/prf/stb answer by short-circuit search and ignore max_args.
-    sem/stg do the same as stb when a stable extension exists; without one
-    they enumerate (capped), as grd_star always does.
-    """
+    """Is arg in at least one extension?  max_args (default 26) caps the
+    enumeration that some semantics fall back to (see _exists)."""
     sem = Semantics(semantics)
-    bit = 1 << af.arg_id(arg)
-    if sem in (Semantics.SEM, Semantics.STG) and _has_stable(af):
-        sem = Semantics.STB  # its sem/stg extensions are then its stable ones
-    if sem is Semantics.CF:
-        return not af.self_loop_mask & bit
-    if sem is Semantics.GRD:
-        return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
-    if sem in (Semantics.ADM, Semantics.COM, Semantics.PRF):
-        # credulously accepted under preferred/complete iff under admissible
-        # bit joins an admissible set off its neighbourhood that attacks the
-        # attackers bit does not; mask 0 is such a set, so test for any yield
-        inn, out = _union(af.in_masks, bit), _attacked_mask(af, bit)
-        walk = _search(af, admissible=True, cover=inn & ~out,
-                       universe=af.full_mask & ~(bit | inn | out))
-        return not af.self_loop_mask & bit and next(walk, None) is not None
-    if sem is Semantics.STB:
-        return _has_stable(af, inside=bit)
-    exts = enumerate_extensions(af, sem, max_args=max_args)
-    return any(e.mask & bit for e in exts)
+    return _exists(af, sem, 1 << af.arg_id(arg), 0, max_args)
 
 
 def skeptical(
@@ -573,24 +585,10 @@ def skeptical(
     max_args: int | None = DEFAULT_SEARCH_CAP,
 ) -> bool:
     """Is arg in every extension?  Vacuously true when there are none.
-
-    cf/adm/com/grd/stb answer by short-circuit search and ignore max_args.
-    sem/stg do the same as stb when a stable extension exists; without one
-    they enumerate (capped), as prf/grd_star always do.
-    """
+    max_args (default 26) caps the enumeration that some semantics fall back
+    to (see _exists)."""
     sem = Semantics(semantics)
-    bit = 1 << af.arg_id(arg)
-    if sem in (Semantics.SEM, Semantics.STG) and _has_stable(af):
-        sem = Semantics.STB  # its sem/stg extensions are then its stable ones
-    if sem in (Semantics.CF, Semantics.ADM):
-        return False  # the empty set is conflict-free and admissible
-    if sem in (Semantics.GRD, Semantics.COM):
-        # the grounded extension is the least complete extension
-        return bool(_grounded_mask(af.out_masks, af.in_masks) & bit)
-    if sem is Semantics.STB:
-        return not _has_stable(af, outside=bit)
-    exts = enumerate_extensions(af, sem, max_args=max_args)
-    return all(e.mask & bit for e in exts)
+    return not _exists(af, sem, 0, 1 << af.arg_id(arg), max_args)
 
 
 def brute_force(af: AF, semantics: Semantics | str) -> ExtensionSet:

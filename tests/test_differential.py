@@ -65,7 +65,6 @@ from afkit import (
     grounded,
     minimal_relevant,
     mutual_pairs,
-    range_of,
     restrict,
     sccs,
     skeptical,
@@ -109,7 +108,8 @@ def test_instances_reach_deep_traces_and_split_remainders():
     depths, splits = [], []
     for spec in INSTANCES:
         af = generate(spec)
-        rest = af.full_mask & ~range_of(af, grounded(af)).mask
+        g = grounded(af).mask
+        rest = af.full_mask & ~(g | _attacked_mask(af, g))
         splits.append(len(_weak_component_masks(af, rest)))
         for ext in grd_star(af):
             trace = []
@@ -143,7 +143,7 @@ def test_range_maximal_fallback_matches_oracle(spec, cycle):
         expected = brute_force(af, sem)
         assert enumerate_extensions(af, sem) == expected, sem
         # no extension has full range, so the framework has no stable one
-        assert all(range_of(af, e).mask != af.full_mask for e in expected), sem
+        assert all(e.mask | _attacked_mask(af, e.mask) != af.full_mask for e in expected), sem
 
 
 @pytest.mark.parametrize("spec", [s for s, cycle in NO_STABLE if cycle], ids=_label)
@@ -300,7 +300,7 @@ def test_stable_first_semantics_match_oracle():
 
 def test_per_component_semantics_match_oracle_beside_a_three_cycle():
     for af in (plus_three_cycle(af) for af in SWEEP if af.n <= 6):
-        for sem in ("adm", "stb", "com", "prf", "sem", "stg"):
+        for sem in ("cf", "adm", "grd", "stb", "com", "prf", "sem", "stg"):
             expected = brute_force(af, sem)
             assert enumerate_extensions(af, sem) == expected, (af.attacks, sem)
             _assert_decisions_match(af, sem, expected)
