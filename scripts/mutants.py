@@ -14,9 +14,10 @@ selected (all of them by default, or those named) was killed, and 2 for an
 unknown name.
 
 The mutants cover the engines, the solver bridge's configuration checks, the
-bench harness's kill at the time limit and the CLI's exit codes.  Each change
-to them adds its own mutants here; a refactor that rewrites a mutant's old
-text updates the entry, which `tests/test_mutants.py` enforces.
+bench harness's kill at the time limit and its CSV rows, and the CLI's exit
+codes and count output.  Each change to them adds its own mutants here; a
+refactor that rewrites a mutant's old text updates the entry, which
+`tests/test_mutants.py` enforces.
 """
 from __future__ import annotations
 
@@ -172,6 +173,14 @@ MUTANTS = (
         RESOLUTION,
         "== 2 * (len(ids) - 1):",
         ">= 0:",
+        ("tests/test_resolution.py",),
+    ),
+    # the naive oracle's binary counter over the mutual pairs
+    Mutant(
+        "naive engine drops one direction per pair",
+        RESOLUTION,
+        "(hi, lo) if code >> i & 1 else (lo, hi)",
+        "(lo, hi)",
         ("tests/test_resolution.py",),
     ),
     # constructive grd_star
@@ -498,12 +507,20 @@ MUTANTS = (
         "if False:",
         ("tests/test_solver.py", "tests/test_bench.py"),
     ),
-    # the bench harness's one deadline and the CLI's one exit-code map
+    # the bench harness's one deadline and CSV row codec, and the CLI's one
+    # exit-code map and count output
     Mutant(
         "bench kills the child alone at the limit",
         "src/afkit/bench.py",
         "os.killpg(proc.pid, signal.SIGKILL)",
         "os.kill(proc.pid, signal.SIGKILL)",
+        ("tests/test_bench.py",),
+    ),
+    Mutant(
+        "CSV reads an empty detail as None",
+        "src/afkit/bench.py",
+        "if not text and kind != field.type:",
+        "if not text:",
         ("tests/test_bench.py",),
     ),
     Mutant(
@@ -518,6 +535,13 @@ MUTANTS = (
         CLI,
         "return EXIT_CAP",
         "return EXIT_INPUT",
+        (CLI_TESTS,),
+    ),
+    Mutant(
+        "count format builds every name",
+        CLI,
+        "print(len(exts))",
+        "print(len(exts.names()))",
         (CLI_TESTS,),
     ),
 )

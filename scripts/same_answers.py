@@ -7,11 +7,14 @@ The commit is cloned into a temporary directory.  One child Python per side
 `afkit.cli.main(["solve", ...])` in-process and reports each call's exit code,
 stderr and a digest of its stdout; the script diffs them call by call.
 
-The call set covers all nine semantics on five frameworks: af6 (the tests'
+The call set covers all nine semantics on six frameworks: af6 (the tests'
 six-argument example), grid 25, arb 30 and grid 25 joined with a disjoint
-3-cycle (the instances of `scripts/hard_cases.py`), and arb 20 with
-self-attacks (p=0.15, seed 2: three self-attackers and no stable extension),
-each at the default cap and with `--max-args 40`.  It asks EE, CA and SA of
+3-cycle (the instances of `scripts/hard_cases.py`), and two arb 20 with
+self-attacks (p=0.15): seed 2, three self-attackers and no stable extension;
+and seed 5, whose one self-attacker a16 has two other attackers that an
+admissible set off a16's neighbourhood attacks, so only the self-attack test
+keeps CA adm/com/prf of a16 at NO.  Each runs at the default cap and with
+`--max-args 40`.  It asks EE, CA and SA of
 every argument, then VER of sets taken from the parent's EE output: up to
 five extensions per semantics, each also with one argument dropped and with
 one added, and five seeded random sets.  The VER calls are built after the
@@ -64,7 +67,7 @@ def git(*args: str, cwd: str = ROOT) -> str:
 
 
 def write_instances(folder: str) -> tuple[dict[str, list[str]], list[str]]:
-    """Write the frameworks as APX files: map each of the five's paths to its
+    """Write the frameworks as APX files: map each of the six's paths to its
     names, and list the two wide ones' paths."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "scripts"),
                     os.path.join(ROOT, "tests")]
@@ -83,8 +86,10 @@ def write_instances(folder: str) -> tuple[dict[str, list[str]], list[str]]:
         write(label, af): [a.name for a in af.args]
         for label, af in (("af6", make_af6()), ("grid25", grid(25)), ("arb30", arb(30)),
                           ("grid25_cycle", plus_three_cycle(grid(25))),
-                          ("arb20_self", generate(GenSpec(kind="arbitrary", n=20, p=0.15, seed=2,
-                                                          self_attacks=True))))
+                          *((f"arb20_self{seed}",
+                             generate(GenSpec(kind="arbitrary", n=20, p=0.15, seed=seed,
+                                              self_attacks=True)))
+                            for seed in (2, 5)))
     }
     wide = [write("arb64", generate(GenSpec(kind="arbitrary", n=64, p=0.35, seed=1))),
             write("free_below_clique", free_below_clique())]

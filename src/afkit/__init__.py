@@ -39,21 +39,17 @@ from .semantics import (
     verify,
 )
 from .resolution import (
-    MutualPair,
     RbgFrame,
-    Resolution,
     grd_star,
     grd_star_naive,
     minimal_relevant,
     mutual_pairs,
-    resolutions,
     verify_grd_star,
 )
 from .encodings import (
     AspJob,
     EncodingId,
     emit_encoding,
-    emit_instance,
     emit_job,
     is_optimization_encoding,
 )
@@ -66,7 +62,7 @@ from .solver import (
     SolverTimeoutError,
     run_job,
 )
-from .generators import GenSpec, gen_arbitrary, gen_grid, generate
+from .generators import GenSpec, generate
 from .bench import BenchRecord, grid_dimensions, read_csv, run_bench, run_one, summarize, write_csv
 
 __version__ = "0.1.0"
@@ -82,9 +78,7 @@ __all__ = [
     "EncodingId",
     "ExtensionSet",
     "GenSpec",
-    "MutualPair",
     "RbgFrame",
-    "Resolution",
     "SccPartition",
     "SearchCapError",
     "Semantics",
@@ -97,11 +91,8 @@ __all__ = [
     "brute_force",
     "credulous",
     "emit_encoding",
-    "emit_instance",
     "emit_job",
     "enumerate_extensions",
-    "gen_arbitrary",
-    "gen_grid",
     "generate",
     "grd_star",
     "grd_star_naive",
@@ -113,7 +104,6 @@ __all__ = [
     "mutual_pairs",
     "parse_apx",
     "read_csv",
-    "resolutions",
     "restrict",
     "run_bench",
     "run_job",

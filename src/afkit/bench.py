@@ -19,7 +19,7 @@ import csv
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import Field, astuple, dataclass, fields
 from math import inf, isqrt
 from typing import Iterable, Sequence
 
@@ -27,21 +27,6 @@ from .encodings import EncodingId, emit_job
 from .generators import GenSpec, generate
 from .semantics import Semantics, enumerate_extensions
 from .solver import SolverConfig, require_solver, run_job
-
-CSV_COLUMNS = [
-    "kind",
-    "n",
-    "m",
-    "p",
-    "neighborhood",
-    "seed",
-    "semantics",
-    "engine",
-    "time_ms",
-    "extensions",
-    "status",
-    "detail",
-]
 
 STATUSES = ("ok", "timeout", "error")
 
@@ -69,42 +54,30 @@ class BenchRecord:
         return self.n * (self.m or 1)
 
     def to_row(self) -> list[str]:
-        return [
-            self.kind,
-            str(self.n),
-            "" if self.m is None else str(self.m),
-            repr(self.p),
-            self.neighborhood or "",
-            str(self.seed),
-            self.semantics,
-            self.engine,
-            repr(self.time_ms),
-            "" if self.extensions is None else str(self.extensions),
-            self.status,
-            self.detail,
-        ]
+        return ["" if v is None else str(v) for v in astuple(self)]
 
     @staticmethod
     def from_row(row: Sequence[str]) -> "BenchRecord":
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
-        record = BenchRecord(
-            kind=row[0],
-            n=int(row[1]),
-            m=int(row[2]) if row[2] else None,
-            p=float(row[3]),
-            neighborhood=row[4] or None,
-            seed=int(row[5]),
-            semantics=row[6],
-            engine=row[7],
-            time_ms=float(row[8]),
-            extensions=int(row[9]) if row[9] else None,
-            status=row[10],
-            detail=row[11],
-        )
+        record = BenchRecord(*map(_cell, fields(BenchRecord), row))
         if record.status not in STATUSES:
             raise ValueError(f"unknown status {record.status!r}")
         return record
+
+
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+
+_PARSE = {"int": int, "float": float, "str": str}
+
+
+def _cell(field: Field, text: str):
+    """One CSV cell parsed by its field's annotation; an empty cell of an
+    optional (X | None) field is None."""
+    kind = field.type.removesuffix(" | None")
+    if not text and kind != field.type:
+        return None
+    return _PARSE[kind](text)
 
 
 def _bench_worker(conn, spec: GenSpec, semantics: str, engine: str,

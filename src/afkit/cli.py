@@ -18,7 +18,7 @@ import sys
 
 from .bench import read_csv, run_bench, summarize, write_csv
 from .core import ApxError, parse_apx, serialize_apx
-from .encodings import EncodingId, emit_encoding, emit_instance, emit_job
+from .encodings import EncodingId, emit_encoding, emit_job
 from .generators import KINDS, NEIGHBORHOODS, GenSpec, generate
 from .semantics import (
     DEFAULT_SEARCH_CAP,
@@ -85,13 +85,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     semantics = Semantics(args.semantics)
 
     if args.task == "EE":
-        names = enumerate_extensions(af, semantics, max_args=max_args).names()
+        exts = enumerate_extensions(af, semantics, max_args=max_args)
         if args.format == "count":
-            print(len(names))
+            print(len(exts))
         elif args.format == "json":
-            print(json.dumps([list(ext) for ext in names]))
+            print(json.dumps([list(ext) for ext in exts.names()]))
         else:
-            for ext in names:
+            for ext in exts.names():
                 print(",".join(ext))
         return EXIT_OK
 
@@ -149,7 +149,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_USAGE, "emit needs --input unless --program-only is given")
     af = _load_af(args.input)
     if args.instance_only:
-        _write_text(emit_instance(af), args.output)
+        _write_text(serialize_apx(af), args.output)
     else:
         _write_text(emit_job(af, args.encoding).full_text(), args.output)
     return EXIT_OK

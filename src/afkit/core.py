@@ -215,9 +215,6 @@ class AF:
         except KeyError:
             raise ValueError(f"unknown argument {x!r}") from None
 
-    def has_attack(self, a: int | str, b: int | str) -> bool:
-        return bool(self.out_masks[self.arg_id(a)] >> self.arg_id(b) & 1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AF)

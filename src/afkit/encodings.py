@@ -208,10 +208,11 @@ def _minimize(predicate: str) -> str:
     )
 
 
-_PROGRAMS: dict[EncodingId, tuple[str, ...]] = {
-    EncodingId.CF: (_CF_GUESS,),
-    EncodingId.ADM: (_CF_GUESS, _ATT_IS_DEFEAT, _ADM_CHECK),
-    EncodingId.STG_SATURATION: (
+# per encoding: the semantics its answer sets realize, and its program parts
+_PROGRAMS: dict[EncodingId, tuple[Semantics, tuple[str, ...]]] = {
+    EncodingId.CF: (Semantics.CF, (_CF_GUESS,)),
+    EncodingId.ADM: (Semantics.ADM, (_CF_GUESS, _ATT_IS_DEFEAT, _ADM_CHECK)),
+    EncodingId.STG_SATURATION: (Semantics.STG, (
         _CF_GUESS,
         _ORDER,
         _ATT_IS_DEFEAT,
@@ -219,31 +220,36 @@ _PROGRAMS: dict[EncodingId, tuple[str, ...]] = {
         _RANGE_SECOND,
         _RANGE_EQUAL,
         _SATURATE,
-    ),
-    EncodingId.PRF_METASP: (_CF_GUESS, _ATT_IS_DEFEAT, _ADM_CHECK, _minimize("out")),
-    EncodingId.SEM_METASP: (
+    )),
+    EncodingId.PRF_METASP: (Semantics.PRF, (
+        _CF_GUESS,
+        _ATT_IS_DEFEAT,
+        _ADM_CHECK,
+        _minimize("out"),
+    )),
+    EncodingId.SEM_METASP: (Semantics.SEM, (
         _CF_GUESS,
         _ATT_IS_DEFEAT,
         _ADM_CHECK,
         _RANGE,
         _minimize("not_in_range"),
-    ),
-    EncodingId.STG_METASP: (_CF_GUESS, _RANGE, _minimize("not_in_range")),
-    EncodingId.RGROUND_METASP: (
+    )),
+    EncodingId.STG_METASP: (Semantics.STG, (_CF_GUESS, _RANGE, _minimize("not_in_range"))),
+    EncodingId.RGROUND_METASP: (Semantics.GRD_STAR, (
         _RES_GUESS,
         _ORDER,
         _GROUNDED_LOOP,
         _minimize("in"),
-    ),
-    EncodingId.RGROUND_METASP_PRIME: (
+    )),
+    EncodingId.RGROUND_METASP_PRIME: (Semantics.GRD_STAR, (
         _RES_GUESS,
         _ATT_IS_RESTRICTED,
         _CF_GUESS,
         _ADM_CHECK,
         _COM_CHECK,
         _minimize("in"),
-    ),
-    EncodingId.GRD_STAR_HANDCRAFT: (
+    )),
+    EncodingId.GRD_STAR_HANDCRAFT: (Semantics.GRD_STAR, (
         _CF_GUESS,
         _ORDER,
         _ITER_COPY,
@@ -252,19 +258,7 @@ _PROGRAMS: dict[EncodingId, tuple[str, ...]] = {
         _ITER_MR,
         _ITER_STABLE,
         _ITER_NEXT,
-    ),
-}
-
-_SEMANTICS_OF = {
-    EncodingId.CF: Semantics.CF,
-    EncodingId.ADM: Semantics.ADM,
-    EncodingId.STG_SATURATION: Semantics.STG,
-    EncodingId.PRF_METASP: Semantics.PRF,
-    EncodingId.SEM_METASP: Semantics.SEM,
-    EncodingId.STG_METASP: Semantics.STG,
-    EncodingId.RGROUND_METASP: Semantics.GRD_STAR,
-    EncodingId.RGROUND_METASP_PRIME: Semantics.GRD_STAR,
-    EncodingId.GRD_STAR_HANDCRAFT: Semantics.GRD_STAR,
+    )),
 }
 
 
@@ -273,7 +267,6 @@ class AspJob:
     """A ready-to-solve pairing of instance facts and a fixed program."""
 
     encoding: EncodingId
-    semantics: Semantics
     instance: str
     program: str
 
@@ -281,31 +274,23 @@ class AspJob:
         return self.instance + "\n" + self.program
 
 
-def emit_instance(af: AF) -> str:
-    """arg/1 and defeat/2 facts in the serializer's deterministic order."""
-    return serialize_apx(af)
-
-
 def emit_encoding(encoding: EncodingId | str) -> str:
     """The fixed program text for one encoding (no instance facts)."""
-    return "\n".join(_PROGRAMS[EncodingId(encoding)])
+    return "\n".join(_PROGRAMS[EncodingId(encoding)][1])
 
 
 def is_optimization_encoding(encoding: EncodingId | str) -> bool:
     """Whether the program carries a _minimize directive."""
-    return any(_OPTIMIZE in part for part in _PROGRAMS[EncodingId(encoding)])
+    return any(_OPTIMIZE in part for part in _PROGRAMS[EncodingId(encoding)][1])
 
 
 def semantics_of(encoding: EncodingId | str) -> Semantics:
     """Which semantics an encoding's answer sets realize."""
-    return _SEMANTICS_OF[EncodingId(encoding)]
+    return _PROGRAMS[EncodingId(encoding)][0]
 
 
 def emit_job(af: AF, encoding: EncodingId | str) -> AspJob:
+    """The instance's arg/1 and defeat/2 facts (APX text, in the serializer's
+    deterministic order) paired with the encoding's program."""
     eid = EncodingId(encoding)
-    return AspJob(
-        encoding=eid,
-        semantics=_SEMANTICS_OF[eid],
-        instance=emit_instance(af),
-        program=emit_encoding(eid),
-    )
+    return AspJob(encoding=eid, instance=serialize_apx(af), program=emit_encoding(eid))

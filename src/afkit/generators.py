@@ -71,10 +71,8 @@ def _rng(seed: int) -> "numpy.random.Generator":
     return numpy.random.Generator(numpy.random.PCG64(seed))
 
 
-def gen_arbitrary(spec: GenSpec) -> AF:
+def _arbitrary(spec: GenSpec) -> AF:
     """Independent attacks over every ordered pair of distinct arguments."""
-    if spec.kind != "arbitrary":
-        raise ValueError(f"spec kind is {spec.kind!r}, not arbitrary")
     rng = _rng(spec.seed)
     names = [f"a{i}" for i in range(1, spec.n + 1)]
     attacks = []
@@ -87,10 +85,8 @@ def gen_arbitrary(spec: GenSpec) -> AF:
     return AF(names, attacks)
 
 
-def gen_grid(spec: GenSpec) -> AF:
+def _grid(spec: GenSpec) -> AF:
     """Grid framework: every neighbor pair carries one or two attacks."""
-    if spec.kind != "grid":
-        raise ValueError(f"spec kind is {spec.kind!r}, not grid")
     rng = _rng(spec.seed)
     rows, cols = spec.n, spec.m
     names = [f"a{r}_{c}" for r in range(1, rows + 1) for c in range(1, cols + 1)]
@@ -123,5 +119,5 @@ def gen_grid(spec: GenSpec) -> AF:
 def generate(spec: GenSpec) -> AF:
     """Dispatch on spec.kind."""
     if spec.kind == "grid":
-        return gen_grid(spec)
-    return gen_arbitrary(spec)
+        return _grid(spec)
+    return _arbitrary(spec)

@@ -12,7 +12,6 @@ extensions taken over all resolutions.  Two independent engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
     AF,
@@ -34,59 +33,30 @@ from .semantics import (
 RESOLUTION_CAP = 20
 
 
-@dataclass(frozen=True)
-class MutualPair:
-    lo: int
-    hi: int
+def mutual_pairs(af: AF) -> list[tuple[int, int]]:
+    """The mutual attacks as (lo, hi) id pairs, ascending.  Self-attacks are
+    not mutual pairs."""
+    return [(a, b) for a, b in af.attacks if a < b and af.out_masks[b] >> a & 1]
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """One direction dropped per mutual pair; removed lists the dropped attacks."""
+def grd_star_naive(af: AF, *, max_pairs: int | None = RESOLUTION_CAP) -> ExtensionSet:
+    """Oracle engine: grounded extension of every resolution, then minimize.
 
-    removed: tuple[tuple[int, int], ...]
-
-
-def mutual_pairs(af: AF) -> list[MutualPair]:
-    return [
-        MutualPair(a, b)
-        for a, b in af.attacks
-        if a < b and af.out_masks[b] >> a & 1
-    ]
-
-
-def resolutions(
-    af: AF, *, max_pairs: int | None = RESOLUTION_CAP
-) -> Iterator[Resolution]:
-    """All resolutions, in binary-counter order over the sorted mutual pairs.
-
-    Bit i of the counter picks the dropped direction of pair i: 0 drops
-    (lo,hi), 1 drops (hi,lo).  Self-attacks are not mutual pairs.
+    The resolutions go in binary-counter order over the mutual pairs: bit i
+    of the counter picks the dropped direction of pair i, 0 drops (lo,hi)
+    and 1 drops (hi,lo).
     """
     pairs = mutual_pairs(af)
     if max_pairs is not None and len(pairs) > max_pairs:
         raise SearchCapError(
             f"{len(pairs)} mutual pairs exceed the resolution cap of {max_pairs}"
         )
-
-    def gen() -> Iterator[Resolution]:
-        for code in range(1 << len(pairs)):
-            removed = tuple(
-                (p.hi, p.lo) if code >> i & 1 else (p.lo, p.hi)
-                for i, p in enumerate(pairs)
-            )
-            yield Resolution(tuple(sorted(removed)))
-
-    return gen()
-
-
-def grd_star_naive(af: AF, *, max_pairs: int | None = RESOLUTION_CAP) -> ExtensionSet:
-    """Oracle engine: grounded extension of every resolution, then minimize."""
     results: set[int] = set()
-    for res in resolutions(af, max_pairs=max_pairs):
+    for code in range(1 << len(pairs)):
         out = list(af.out_masks)
         inn = list(af.in_masks)
-        for a, b in res.removed:
+        for i, (lo, hi) in enumerate(pairs):
+            a, b = (hi, lo) if code >> i & 1 else (lo, hi)
             out[a] &= ~(1 << b)
             inn[b] &= ~(1 << a)
         results.add(_grounded_mask(out, inn))

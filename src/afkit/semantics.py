@@ -140,10 +140,6 @@ class ExtensionSet:
         self.af = af
         self._masks = tuple(sorted(masks))
 
-    @property
-    def extensions(self) -> tuple[ArgSet, ...]:
-        return tuple(self)
-
     def masks(self) -> tuple[int, ...]:
         return self._masks
 

@@ -41,12 +41,12 @@ def test_serialize_is_sorted():
 
 def test_att_predicate_accepted():
     af = parse_apx("arg(x). arg(y). att(x,y).")
-    assert af.has_attack("x", "y")
+    assert (af.arg_id("x"), af.arg_id("y")) in af.attacks
 
 
 def test_attack_before_declaration_is_fine():
     af = parse_apx("defeat(x,y). arg(x). arg(y).")
-    assert af.has_attack("x", "y")
+    assert (af.arg_id("x"), af.arg_id("y")) in af.attacks
 
 
 def test_empty_input():

@@ -239,6 +239,15 @@ def test_csv_round_trip(tmp_path):
     assert read_csv(str(path)) == records
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "bench.csv"
+    write_csv(sample_records()[:1], str(path))
+    assert path.read_bytes() == (
+        b"kind,n,m,p,neighborhood,seed,semantics,engine,time_ms,extensions,status,detail\r\n"
+        b"arbitrary,20,,0.3,,0,grd,native,12.5,1,ok,\r\n"
+    )
+
+
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")

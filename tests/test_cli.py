@@ -1,4 +1,5 @@
 """CLI tests: tasks, formats, exit codes, gen/emit/bench subcommands."""
+import ast
 import importlib
 import os
 import shutil
@@ -12,7 +13,7 @@ import afkit
 from afkit.bench import read_csv
 from afkit.cli import build_parser, main
 from afkit.core import parse_apx, serialize_apx
-from afkit.semantics import verify
+from afkit.semantics import ExtensionSet, verify
 
 from conftest import make_af6
 
@@ -46,6 +47,17 @@ def test_ee_count(af6_file, capsys):
                            "--format", "count")
     assert code == 0
     assert out == "1\n"
+
+
+def test_ee_count_builds_no_names(af6_file, capsys, monkeypatch):
+    def no_names(self):
+        raise AssertionError("--format count built the extensions' names")
+
+    monkeypatch.setattr(ExtensionSet, "names", no_names)
+    code, out, err = run_cli(capsys, "solve", "--input", af6_file,
+                             "--semantics", "com", "--task", "EE",
+                             "--format", "count")
+    assert (code, out, err) == (0, "3\n", "")
 
 
 def test_ee_json(af6_file, capsys):
@@ -477,6 +489,18 @@ def test_import_loads_no_heavy_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_public_names_resolve():
+    # every exported name is one that afkit/__init__.py imports, and no more
+    tree = ast.parse(Path(afkit.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert len(set(afkit.__all__)) == len(afkit.__all__)
+    for name in afkit.__all__:
+        assert hasattr(afkit, name), name
+        assert name in imported, name
 
 
 def _declared_scripts():

@@ -277,8 +277,8 @@ def test_af_accessors(af6):
     assert af6.n == 6
     assert af6.names(af6.full_mask) == ("a", "b", "c", "d", "e", "f")
     assert af6.arg_id("c") == 2 and af6.arg_id(2) == 2
-    assert af6.has_attack("c", "d") and af6.has_attack("d", "c")
-    assert not af6.has_attack("a", "c")
+    assert (2, 3) in af6.attacks and (3, 2) in af6.attacks  # c <-> d
+    assert (0, 2) not in af6.attacks  # a does not attack c
     assert af6.names(af6.out_masks[2]) == ("b", "d", "e")  # c's targets
     assert af6.names(af6.in_masks[3]) == ("b", "c")  # d's attackers
     with pytest.raises(ValueError, match="unknown"):

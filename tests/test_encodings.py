@@ -8,7 +8,6 @@ from afkit.encodings import (
     AspJob,
     EncodingId,
     emit_encoding,
-    emit_instance,
     emit_job,
     is_optimization_encoding,
     semantics_of,
@@ -91,9 +90,10 @@ def test_semantics_mapping():
 
 def test_instance_is_the_serialized_framework():
     af = make_af6()
-    assert emit_instance(af) == serialize_apx(af)
-    assert "arg(a).\n" in emit_instance(af)
-    assert "defeat(a,b).\n" in emit_instance(af)
+    instance = emit_job(af, "cf").instance
+    assert instance == serialize_apx(af)
+    assert "arg(a).\n" in instance
+    assert "defeat(a,b).\n" in instance
 
 
 def test_emit_job_bundles_everything():
@@ -101,7 +101,7 @@ def test_emit_job_bundles_everything():
     job = emit_job(af, "sem_metasp")
     assert isinstance(job, AspJob)
     assert job.encoding is EncodingId.SEM_METASP
-    assert job.semantics is Semantics.SEM
+    assert semantics_of(job.encoding) is Semantics.SEM
     assert is_optimization_encoding(job.encoding)
     assert job.instance == serialize_apx(af)
     assert job.program == emit_encoding("sem_metasp")

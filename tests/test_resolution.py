@@ -6,13 +6,10 @@ import pytest
 
 from afkit.core import AF, ArgSet, restrict
 from afkit.resolution import (
-    MutualPair,
-    Resolution,
     grd_star,
     grd_star_naive,
     minimal_relevant,
     mutual_pairs,
-    resolutions,
     verify_grd_star,
 )
 from afkit.semantics import SearchCapError
@@ -21,26 +18,7 @@ from conftest import name_sets
 
 
 def test_mutual_pairs_demo(af6):
-    assert mutual_pairs(af6) == [MutualPair(2, 3)]  # c <-> d
-
-
-def test_resolutions_demo(af6):
-    got = list(resolutions(af6))
-    assert got == [Resolution(((2, 3),)), Resolution(((3, 2),))]
-
-
-def test_resolutions_counter_order():
-    af = AF(
-        ["p", "q", "r", "s"],
-        [("p", "q"), ("q", "p"), ("r", "s"), ("s", "r")],
-    )
-    got = list(resolutions(af))
-    assert len(got) == 4
-    # bit 0 flips the first pair fastest
-    assert got[0] == Resolution(((0, 1), (2, 3)))
-    assert got[1] == Resolution(((1, 0), (2, 3)))
-    assert got[2] == Resolution(((0, 1), (3, 2)))
-    assert got[3] == Resolution(((1, 0), (3, 2)))
+    assert mutual_pairs(af6) == [(2, 3)]  # c <-> d
 
 
 def test_resolution_cap():
@@ -49,9 +27,10 @@ def test_resolution_cap():
     for i in range(0, 10, 2):
         attacks += [(names[i], names[i + 1]), (names[i + 1], names[i])]
     af = AF(names, attacks)
-    assert len(list(resolutions(af))) == 32
-    with pytest.raises(SearchCapError):
-        resolutions(af, max_pairs=4)
+    # five disjoint mutual pairs: 32 resolutions, each its own grounded extension
+    assert len(grd_star_naive(af)) == 32
+    with pytest.raises(SearchCapError, match="5 mutual pairs exceed the resolution cap of 4"):
+        grd_star_naive(af, max_pairs=4)
 
 
 def test_grd_star_demo_both_engines(af6):
