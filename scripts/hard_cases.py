@@ -17,7 +17,8 @@ benchmark leaves out, where each NO answer is a walk off the argument's
 neighbourhood that finds no set attacking its attackers, and CA/SA grd_star
 on `10 linked pairs`: ten triples x_i <-> y_i -> z_i, with z_{i-1} -> x_i
 linking them into one weak component, where each query enumerates every
-grd_star extension.
+grd_star extension; VER grd_star there asks of each of those extensions,
+whose walks run up to ten levels deep, where no benchmark op passes four.
 VER stg on `grid 25 ← 3-cycle` (see below), which has no stable extension,
 reaches verify's per-component range walks, which no benchmark op reaches.
 It asks CA/SA of each of the first 100 arguments, with `max_args=None`, and
@@ -172,6 +173,8 @@ DECIDE_ROWS = (
      lambda: generate(GenSpec(kind="arbitrary", n=2000, p=0.001, seed=1))),
     ("CA grd_star 10 linked pairs", "CA", "grd_star", lambda: linked_pairs(10)),
     ("SA grd_star 10 linked pairs", "SA", "grd_star", lambda: linked_pairs(10)),
+    ("VER grd_star 10 linked pairs (extensions)", "VER", "grd_star",
+     lambda: linked_pairs(10)),
 )
 
 INSTANCES = (
@@ -311,7 +314,9 @@ def decide_table() -> None:
         names = [a.name for a in af.args]
         attacks = [(names[a], names[b]) for a, b in af.attacks]
         if task == "VER":
-            if "adm sets" in label:
+            if "extensions" in label:
+                queries = list(enumerate_extensions(af, sem, max_args=None))
+            elif "adm sets" in label:
                 queries = adm_sets(af, span=af.n // 2 if "lower-half" in label else None)
                 if not reaches_has_stable(af, sem, queries):
                     sys.exit(f"{label}: a query does not reach _has_stable")

@@ -183,12 +183,12 @@ MUTANTS = (
         "(lo, hi)",
         ("tests/test_resolution.py",),
     ),
-    # constructive grd_star
+    # the one grd* walk, behind grd_star and verify_grd_star
     Mutant(
         "grd_star branch drops | g",
         RESOLUTION,
-        "chosen | g | s))",
-        "chosen | s))",
+        "chosen | g | s, depth + 1))",
+        "chosen | s, depth + 1))",
         (DIFFERENTIAL,),
     ),
     Mutant(
@@ -201,8 +201,8 @@ MUTANTS = (
     Mutant(
         "grd_star branches on unstable sets",
         RESOLUTION,
-        "_search(af, admissible=False, cover=pi, universe=pi)",
-        "_search(af, admissible=False, universe=pi)",
+        "_search(af, admissible=False, cover=pi, universe=pi & within)",
+        "_search(af, admissible=False, universe=pi & within)",
         (DIFFERENTIAL,),
     ),
     Mutant(
@@ -211,6 +211,23 @@ MUTANTS = (
         "masks.append(chosen | g)",
         "masks.append(chosen)",
         (DIFFERENTIAL,),
+    ),
+    # verification: the walk restricted to the candidate adds no frame for a
+    # branch off it; no answer changes, and test_verify_grd_star_trace (and,
+    # for the first, the differential deep-trace test) pins the frames
+    Mutant(
+        "walk ignores within",
+        RESOLUTION,
+        "universe=pi & within)",
+        "universe=pi)",
+        ("tests/test_resolution.py", DIFFERENTIAL),
+    ),
+    Mutant(
+        "grounded part outside within kept",
+        RESOLUTION,
+        "if g & ~within:",
+        "if False:",
+        ("tests/test_resolution.py",),
     ),
     # the support rule of _search
     Mutant(
@@ -507,8 +524,15 @@ MUTANTS = (
         "if False:",
         ("tests/test_solver.py", "tests/test_bench.py"),
     ),
-    # the bench harness's one deadline and CSV row codec, and the CLI's one
-    # exit-code map and count output
+    # the bench harness's one timeout check, one deadline and CSV row codec,
+    # and the CLI's one exit-code map and count output
+    Mutant(
+        "bench accepts any timeout",
+        "src/afkit/bench.py",
+        "if timeout is not None and not 0 < timeout < inf:",
+        "if False:",
+        ("tests/test_bench.py",),
+    ),
     Mutant(
         "bench kills the child alone at the limit",
         "src/afkit/bench.py",

@@ -19,7 +19,6 @@ from .core import (
     ApxError,
     Argument,
     ArgSet,
-    SccPartition,
     is_conflict_free,
     parse_apx,
     restrict,
@@ -79,7 +78,6 @@ __all__ = [
     "ExtensionSet",
     "GenSpec",
     "RbgFrame",
-    "SccPartition",
     "SearchCapError",
     "Semantics",
     "SolverConfig",

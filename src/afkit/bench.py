@@ -112,11 +112,12 @@ def run_one(
     solver_config: SolverConfig | None = None,
 ) -> BenchRecord:
     """Run one timed solve in a child process group killed at the limit.
-    An engine that cannot run is refused here, before the fork."""
+    An engine that cannot run, or a timeout that is not positive and finite,
+    is refused here, before the fork."""
     import multiprocessing  # here, so that importing afkit stays light
 
     sem = Semantics(semantics).value
-    solver_config = _validate_engines([engine], solver_config)
+    solver_config = _validate([engine], timeout, solver_config)
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
@@ -216,12 +217,15 @@ def plan_runs(
     return runs
 
 
-def _validate_engines(
-    engines: Sequence[str], solver_config: SolverConfig | None
+def _validate(
+    engines: Sequence[str], timeout: float | None, solver_config: SolverConfig | None
 ) -> SolverConfig | None:
-    """Refuse unknown engines (ValueError) and external engines the solver
-    cannot run (SolverConfigError); return the solver config the runs use,
-    read from the environment only when some engine is external."""
+    """Refuse a timeout other than None or a positive finite number and
+    unknown engines (ValueError), and external engines the solver cannot run
+    (SolverConfigError); return the solver config the runs use, read from
+    the environment only when some engine is external."""
+    if timeout is not None and not 0 < timeout < inf:
+        raise ValueError("timeout must be positive and finite")
     if not engines:
         raise ValueError("need at least one engine")
     for engine in engines:
@@ -252,12 +256,11 @@ def run_bench(
     solver_config: SolverConfig | None = None,
 ) -> list[BenchRecord]:
     """Run the whole benchmark plan, one run at a time; one record per run,
-    in plan order.  Every engine is checked before the first run."""
+    in plan order.  Every engine and the timeout are checked before the first
+    run."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if timeout is not None and not 0 < timeout < inf:
-        raise ValueError("timeout must be positive and finite")
-    solver_config = _validate_engines(engines, solver_config)
+    solver_config = _validate(engines, timeout, solver_config)
 
     runs = plan_runs(
         kinds=kinds,

@@ -3,8 +3,9 @@
 An AF is a finite set of arguments plus a binary defeat (attack) relation.
 Arguments get dense integer ids in order of first appearance; argument sets
 are bitmasks wrapped in ArgSet, with id 0 on the least-significant bit.  A
-sub-framework is a universe mask: the grounded fixpoint and the SCCs (two
-bitmask sweeps) run on the attack masks inside it, with nothing rebuilt.
+sub-framework is a universe mask: the grounded fixpoint and sccs (two
+bitmask sweeps, whose components come back as masks in topological order)
+run on the attack masks inside it, with nothing rebuilt.
 Every scan of a mask's set bits in the engines goes through one of four
 helpers: _ids lists them, _union ORs a per-id table over them, _unattacked
 keeps those with no attacker in a given mask, and _unsupported asks whether
@@ -20,7 +21,6 @@ masks, and derives its args and attacks tuples on first use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -402,50 +402,16 @@ def restrict(af: AF, s: ArgSet) -> tuple[AF, tuple[int, ...]]:
     return AF([names[i] for i in keep], sub_attacks), tuple(keep)
 
 
-@dataclass(frozen=True)
-class SccPartition:
-    """Strongly connected components in topological order.
-
-    order_edges holds the direct component-graph edges (i precedes j); every
-    edge satisfies i < j.  comp_of is -1 for ids outside the universe.
-    """
-
-    components: tuple[ArgSet, ...]
-    comp_of: tuple[int, ...]
-    order_edges: frozenset[tuple[int, int]]
-
-    def minimal(self) -> tuple[int, ...]:
-        """Indices of components with no predecessor."""
-        has_in = {j for _, j in self.order_edges}
-        return tuple(i for i in range(len(self.components)) if i not in has_in)
-
-
-def sccs(af: AF, universe: int | None = None) -> SccPartition:
-    """SCCs of the sub-framework on universe (default: every argument) in
-    topological order: _scc_masks's components as an SccPartition."""
-    comps = _scc_masks(af, af.full_mask if universe is None else universe)
-    comp_of = [-1] * af.n
-    for ci, comp in enumerate(comps):
-        for v in _ids(comp):
-            comp_of[v] = ci
-    edges = {
-        (comp_of[a], comp_of[b])
-        for a, b in af.attacks
-        if comp_of[a] != comp_of[b] and -1 not in (comp_of[a], comp_of[b])
-    }
-    return SccPartition(
-        components=tuple(ArgSet(c, af.n) for c in comps),
-        comp_of=tuple(comp_of),
-        order_edges=frozenset(edges),
-    )
-
-
-def _scc_masks(af: AF, universe: int) -> list[int]:
-    """Strongly connected components of the sub-framework on universe, in
-    topological order, by Kosaraju's two sweeps (Sharir 1981).  A depth-first
-    pass that always descends into the lowest unvisited target records the
-    finishing order; then, latest finisher first, a flood fill over the
-    attackers within what is not yet placed cuts out each component."""
+def sccs(af: AF, universe: int | None = None) -> list[int]:
+    """Strongly connected components of the sub-framework on universe
+    (default: every argument) as masks in topological order (no attack runs
+    from a later component to an earlier one), by Kosaraju's two sweeps
+    (Sharir 1981).  A depth-first pass that always descends into the lowest
+    unvisited target records the finishing order; then, latest finisher
+    first, a flood fill over the attackers within what is not yet placed cuts
+    out each component."""
+    if universe is None:
+        universe = af.full_mask
     out, inn = af.out_masks, af.in_masks
     path, seen, finished = [], 0, []
     while True:  # an empty path stands on a virtual root that targets universe

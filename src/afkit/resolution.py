@@ -5,9 +5,11 @@ The resolution-based grounded extensions are the subset-minimal grounded
 extensions taken over all resolutions.  Two independent engines:
 
 * grd_star_naive enumerates every resolution literally (capped at 2^20);
-* verify_grd_star / grd_star use the recursive characterization over minimal
-  relevant components and never materialize a resolution; each level tests
-  the remainder's SCCs, in masks, for those components.
+* grd_star walks the recursive characterization over minimal relevant
+  components (Baroni, Dunne & Giacomin, AIJ 2011) and never materializes a
+  resolution; each level tests the remainder's SCCs, in masks, for those
+  components.  verify_grd_star is the same walk restricted to the
+  candidate, which leaves it one path through the levels.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from .core import (
     _attacked_mask,
     _grounded_mask,
     _ids,
-    _scc_masks,
     is_conflict_free,
+    sccs,
 )
 from .semantics import (
     DEFAULT_SEARCH_CAP,
@@ -73,7 +75,7 @@ def minimal_relevant(af: AF, universe: int | None = None) -> list[ArgSet]:
     if universe is None:
         universe = af.full_mask
     found = []
-    for c in _scc_masks(af, universe):
+    for c in sccs(af, universe):
         if c & af.self_loop_mask:
             continue
         ids = _ids(c)
@@ -106,74 +108,51 @@ class RbgFrame:
 
 def verify_grd_star(af: AF, u: ArgSet, *, trace: list[RbgFrame] | None = None) -> bool:
     """Decide membership of u in the resolution-based grounded extensions
-    without enumerating resolutions."""
+    without enumerating resolutions: grd_star's walk restricted to u."""
     if u.n != af.n:
         raise ValueError("ArgSet universes differ")
     if not is_conflict_free(af, u):
         return False
-    return _accept(af, u.mask, trace)
-
-
-def _level(af: AF, universe: int) -> tuple[int, int, int]:
-    """One recursion level on the sub-framework universe: its grounded part,
-    the remainder outside that part's range, and the union (a sum, as they
-    are disjoint) of the remainder's minimal relevant components."""
-    g = _grounded_mask(af.out_masks, af.in_masks, universe)
-    rest = universe & ~(g | _attacked_mask(af, g))
-    return g, rest, sum(c.mask for c in minimal_relevant(af, rest))
-
-
-def _accept(af: AF, u_mask: int, trace: list[RbgFrame] | None) -> bool:
-    """One pass per recursion level; (universe, u_mask) is the level's
-    sub-framework and the part of the candidate still to be justified (inside
-    the universe, as the candidate is conflict-free)."""
-    universe = af.full_mask
-    depth = 0
-    while True:
-        g, rest, pi = _level(af, universe)
-        t = u_mask & rest
-        if trace is not None:
-            trace.append(
-                RbgFrame(
-                    af,
-                    ArgSet(universe, af.n),
-                    ArgSet(g, af.n),
-                    ArgSet(t, af.n),
-                    ArgSet(pi, af.n),
-                    depth,
-                )
-            )
-        if u_mask & ~rest != g:
-            return False
-        if not pi:
-            return t == 0
-        t_pi = t & pi
-        struck = _attacked_mask(af, t_pi)
-        if pi & ~(t_pi | struck):
-            return False  # not stable inside the selected components
-        universe = rest & ~(pi | struck)
-        u_mask = t & ~pi
-        depth += 1
+    return u.mask in _walk(af, u.mask, trace)
 
 
 def grd_star(
     af: AF, *, max_args: int | None = DEFAULT_SEARCH_CAP
 ) -> ExtensionSet:
-    """Enumerate resolution-based grounded extensions recursively.
-
-    Branches the recursion that verify_grd_star follows: each level adds its
-    grounded part, then one branch per stable set of the minimal relevant
-    components, recursing on the remainder that set leaves undecided.
-    """
+    """Enumerate resolution-based grounded extensions recursively: each
+    level adds its grounded part, then one branch per stable set of the
+    minimal relevant components, recursing on the remainder that set leaves
+    undecided."""
     _check_cap(af, max_args)
+    return ExtensionSet(af, _walk(af, af.full_mask))
+
+
+def _walk(af: AF, within: int, trace: list[RbgFrame] | None = None) -> list[int]:
+    """The resolution-based grounded extensions inside within, as masks.
+
+    A work item is a level's sub-framework (universe), the arguments chosen
+    above it and its depth.  A branch whose grounded part leaves within ends,
+    and the branches of a level are the stable sets of its minimal relevant
+    components inside within.  For a conflict-free within there is at most
+    one such set, within's part of them, so verification follows one path;
+    trace gets one frame per level, before the level's checks, whose
+    remainder is within's part of the undecided rest.
+    """
     masks = []
-    work = [(af.full_mask, 0)]
+    work = [(af.full_mask, 0, 0)]
     while work:
-        universe, chosen = work.pop()
-        g, rest, pi = _level(af, universe)
+        universe, chosen, depth = work.pop()
+        g = _grounded_mask(af.out_masks, af.in_masks, universe)
+        rest = universe & ~(g | _attacked_mask(af, g))
+        pi = sum(c.mask for c in minimal_relevant(af, rest))  # disjoint: sum is union
+        if trace is not None:
+            sets = (ArgSet(m, af.n) for m in (universe, g, within & rest, pi))
+            trace.append(RbgFrame(af, *sets, depth))
+        if g & ~within:
+            continue
         if not pi:
             masks.append(chosen | g)
             continue
-        for s in _search(af, admissible=False, cover=pi, universe=pi):
-            work.append((rest & ~(pi | _attacked_mask(af, s)), chosen | g | s))
-    return ExtensionSet(af, masks)
+        for s in _search(af, admissible=False, cover=pi, universe=pi & within):
+            work.append((rest & ~(pi | _attacked_mask(af, s)), chosen | g | s, depth + 1))
+    return masks

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from afkit.core import AF
+from afkit.core import AF, _attacked_mask, _ids
 
 # Six-argument framework used throughout the tests.  Hand-checkable:
 # a is unattacked, b/d/e fall to a cascade, c<->d is the one mutual attack,
@@ -37,6 +37,23 @@ def plus_three_cycle(af: AF) -> AF:
     attacks = [(names[a], names[b]) for a, b in af.attacks]
     attacks += zip(cycle, cycle[1:] + cycle[:1])
     return AF(names + cycle, attacks)
+
+
+def scc_graph(af: AF, comps: list[int]) -> tuple[list[int], set[tuple[int, int]]]:
+    """For component masks as sccs returns them: each id's component index
+    (-1 for ids in none of them) and the component-graph edges (i, j), some
+    attack running from comps[i] into comps[j]."""
+    comp_of = [-1] * af.n
+    for ci, comp in enumerate(comps):
+        for v in _ids(comp):
+            comp_of[v] = ci
+    edges = {
+        (i, j)
+        for i, ci in enumerate(comps)
+        for j, cj in enumerate(comps)
+        if i != j and _attacked_mask(af, ci) & cj
+    }
+    return comp_of, edges
 
 
 def name_sets(af, extensions) -> set[tuple[str, ...]]:

@@ -211,6 +211,9 @@ def test_run_one_refuses_an_engine_before_it_forks(monkeypatch):
     with pytest.raises(SolverConfigError, match="prf_metasp"):
         run_one(small_spec(), "prf", "external:prf_metasp",
                 solver_config=stub_config("echo", metasp=False))
+    for timeout in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            run_one(small_spec(), "grd", "native", timeout=timeout)
 
 
 # -------------------------------------------------------------- CSV + sums

@@ -25,6 +25,7 @@ from afkit.core import (
     serialize_apx,
 )
 from afkit.semantics import _near_table, _split
+from conftest import scc_graph
 
 
 def test_argset_basics():
@@ -332,32 +333,35 @@ def test_restrict(af6):
 
 
 def test_sccs_demo(af6):
-    part = sccs(af6)
+    comps = sccs(af6)
     # b -> d -> c -> b closes a 3-cycle, so b,c,d share a component
-    assert [af6.names(c) for c in part.components] == [
+    assert [af6.names(c) for c in comps] == [
         ("a",),
         ("b", "c", "d"),
         ("e",),
         ("f",),
     ]
-    assert all(i < j for i, j in part.order_edges)
-    assert part.comp_of == (0, 1, 1, 1, 2, 3)
+    comp_of, edges = scc_graph(af6, comps)
+    assert all(i < j for i, j in edges)
+    assert comp_of == [0, 1, 1, 1, 2, 3]
 
 
 def test_sccs_after_removing_grounded_range(af6):
     remainder = af6.argset(["c", "d", "e", "f"])
     sub, _ = restrict(af6, remainder)
-    part = sccs(sub)
-    assert [sub.names(c) for c in part.components] == [("c", "d"), ("e",), ("f",)]
-    assert part.order_edges == frozenset({(0, 1), (1, 2)})
-    assert part.minimal() == (0,)
+    comps = sccs(sub)
+    assert [sub.names(c) for c in comps] == [("c", "d"), ("e",), ("f",)]
+    _, edges = scc_graph(sub, comps)
+    assert edges == {(0, 1), (1, 2)}
+    # the components with no predecessor
+    assert [i for i in range(len(comps)) if all(j != i for _, j in edges)] == [0]
 
 
 def test_scc_self_loop_is_plain_singleton():
     af = AF(["x", "y"], [("x", "x"), ("x", "y")])
-    part = sccs(af)
-    assert [af.names(c) for c in part.components] == [("x",), ("y",)]
-    assert part.order_edges == frozenset({(0, 1)})
+    comps = sccs(af)
+    assert [af.names(c) for c in comps] == [("x",), ("y",)]
+    assert scc_graph(af, comps)[1] == {(0, 1)}
 
 
 def _reachability_partition(n, attacks):
@@ -398,17 +402,15 @@ def test_sccs_match_reachability_oracle():
         for universe in (None, universe_rng.getrandbits(n)):
             inside = {i for i in range(n) if universe is None or universe >> i & 1}
             sub = {(a, b) for a, b in attacks if a in inside and b in inside}
-            part = sccs(af, universe)
-            got = {frozenset(c.ids()) for c in part.components}
+            comps = sccs(af, universe)
+            comp_of, edges = scc_graph(af, comps)
+            got = {frozenset(_ids(c)) for c in comps}
             assert got == {g for g in _reachability_partition(n, sub) if g <= inside}
-            assert all(part.comp_of[i] == -1 for i in range(n) if i not in inside)
-            assert all(v in part.components[part.comp_of[v]] for v in inside)
-            # topological component indexing: every cross-component attack
-            # goes forward, and the direct edges are exactly those attacks
-            cross = {
-                (part.comp_of[a], part.comp_of[b])
-                for a, b in sub
-                if part.comp_of[a] != part.comp_of[b]
-            }
+            assert all(comp_of[i] == -1 for i in range(n) if i not in inside)
+            assert all(comps[comp_of[v]] >> v & 1 for v in inside)
+            # topological component order: every cross-component attack
+            # goes forward, and the component-graph edges are exactly those
+            # attacks
+            cross = {(comp_of[a], comp_of[b]) for a, b in sub if comp_of[a] != comp_of[b]}
             assert all(i < j for i, j in cross)
-            assert part.order_edges == cross
+            assert edges == cross

@@ -61,6 +61,12 @@ def test_verify_grd_star_trace(af6):
     assert af6.names(leaf.universe) == ("f",)
     assert af6.names(leaf.grounded_part) == ("f",)
     assert len(leaf.remainder) == 0 and len(leaf.minimal_scc_union) == 0
+    # {d, f} leaves out the grounded part {a}: the first level rejects it,
+    # though {d} is stable on that level's components {c, d}
+    trace = []
+    assert not verify_grd_star(af6, af6.argset(["d", "f"]), trace=trace)
+    assert [f.depth for f in trace] == [0]
+    assert af6.names(trace[0].remainder) == ("d", "f")
 
 
 def test_minimal_relevant_demo(af6):
